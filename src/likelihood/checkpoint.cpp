@@ -1,16 +1,30 @@
 #include "likelihood/checkpoint.hpp"
 
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
+#include <sstream>
 
 #include "util/checks.hpp"
+#include "util/checksum.hpp"
 
 namespace plfoc {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'L', 'F', 'C'};
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kTrailerBytes = 8;
+constexpr std::uint64_t kTrailerSeed = 0x504c4643ull;  // "PLFC"
+
+std::uint64_t trailer_checksum(const std::string& body) {
+  return checksum64(kTrailerSeed, body.data(), body.size());
+}
 
 // Little-endian primitive serialisation; doubles round-trip bit-exactly.
 void put_u32(std::ostream& out, std::uint32_t value) {
@@ -79,9 +93,10 @@ Checkpoint make_checkpoint(const LikelihoodEngine& engine) {
   return checkpoint;
 }
 
-void write_checkpoint(std::ostream& out, const Checkpoint& checkpoint) {
+void write_checkpoint(std::ostream& stream, const Checkpoint& checkpoint) {
+  std::ostringstream out;
   out.write(kMagic, 4);
-  put_u32(out, checkpoint.version);
+  put_u32(out, kVersion);
   put_u32(out, checkpoint.model.type == DataType::kDna ? 0u : 1u);
   put_string(out, checkpoint.model.name);
   put_u32(out, static_cast<std::uint32_t>(checkpoint.model.frequencies.size()));
@@ -99,17 +114,39 @@ void write_checkpoint(std::ostream& out, const Checkpoint& checkpoint) {
     put_u32(out, edge.b);
     put_double(out, edge.length);
   }
-  PLFOC_REQUIRE(out.good(), "checkpoint: write failed");
+  // Trailer: checksum64 over every byte before it, little-endian.
+  const std::string body = out.str();
+  const std::uint64_t sum = trailer_checksum(body);
+  char trailer[kTrailerBytes];
+  for (std::size_t i = 0; i < kTrailerBytes; ++i)
+    trailer[i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
+  stream.write(body.data(), static_cast<std::streamsize>(body.size()));
+  stream.write(trailer, kTrailerBytes);
+  PLFOC_REQUIRE(stream.good(), "checkpoint: write failed");
 }
 
-Checkpoint read_checkpoint(std::istream& in) {
-  char magic[4];
-  in.read(magic, 4);
-  PLFOC_REQUIRE(in.good() && std::memcmp(magic, kMagic, 4) == 0,
+Checkpoint read_checkpoint(std::istream& stream) {
+  std::string bytes{std::istreambuf_iterator<char>(stream),
+                    std::istreambuf_iterator<char>()};
+  PLFOC_REQUIRE(bytes.size() >= 4 && std::memcmp(bytes.data(), kMagic, 4) == 0,
                 "checkpoint: bad magic (not a plfoc checkpoint)");
+  PLFOC_REQUIRE(bytes.size() >= 4 + 4 + kTrailerBytes,
+                "checkpoint: truncated file");
+  const std::string body = bytes.substr(0, bytes.size() - kTrailerBytes);
+  std::uint64_t recorded = 0;
+  for (std::size_t i = 0; i < kTrailerBytes; ++i)
+    recorded |= std::uint64_t{static_cast<unsigned char>(
+                    bytes[body.size() + i])}
+                << (8 * i);
+  PLFOC_REQUIRE(recorded == trailer_checksum(body),
+                "checkpoint: checksum mismatch (truncated or corrupted file)");
+  std::istringstream in(body);
+  in.ignore(4);  // magic
   Checkpoint checkpoint;
   checkpoint.version = get_u32(in);
-  PLFOC_REQUIRE(checkpoint.version == 1, "checkpoint: unsupported version");
+  PLFOC_REQUIRE(checkpoint.version == kVersion,
+                "checkpoint: unsupported version " +
+                    std::to_string(checkpoint.version));
   checkpoint.model.type = get_u32(in) == 0 ? DataType::kDna : DataType::kProtein;
   checkpoint.model.name = get_string(in);
   checkpoint.model.frequencies.resize(get_u32(in));
@@ -127,6 +164,8 @@ Checkpoint read_checkpoint(std::istream& in) {
     edge.b = get_u32(in);
     edge.length = get_double(in);
   }
+  PLFOC_REQUIRE(in.peek() == std::char_traits<char>::eof(),
+                "checkpoint: trailing bytes after the last edge");
   return checkpoint;
 }
 
@@ -147,11 +186,43 @@ void restore_model(const Checkpoint& checkpoint, LikelihoodEngine& engine) {
   engine.set_alpha(checkpoint.alpha);
 }
 
+// Crash-safe replace: the new checkpoint goes to a sibling temp file, is
+// fsync'd, and only then renamed over `path` (rename(2) is atomic within a
+// filesystem), so a crash at any point leaves either the previous checkpoint
+// or the new one — never a torn file. The directory entry is fsync'd last,
+// best effort, so the rename itself survives a power cut.
 void save_checkpoint_file(const std::string& path,
                           const LikelihoodEngine& engine) {
-  std::ofstream out(path, std::ios::binary);
-  PLFOC_REQUIRE(out.good(), "cannot open checkpoint file '" + path + "'");
-  write_checkpoint(out, make_checkpoint(engine));
+  std::ostringstream encoded;
+  write_checkpoint(encoded, make_checkpoint(engine));
+  const std::string bytes = encoded.str();
+  const std::string temp = path + ".tmp";
+  std::FILE* file = std::fopen(temp.c_str(), "wb");
+  PLFOC_REQUIRE(file != nullptr, "cannot open checkpoint file '" + temp +
+                                     "': " + std::strerror(errno));
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size() &&
+      std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+  const int error = errno;
+  const bool closed = std::fclose(file) == 0;
+  if (!written || !closed) {
+    std::remove(temp.c_str());
+    PLFOC_REQUIRE(false, "checkpoint: cannot write '" + temp +
+                             "': " + std::strerror(written ? errno : error));
+  }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    const int rename_error = errno;
+    std::remove(temp.c_str());
+    PLFOC_REQUIRE(false, "checkpoint: cannot rename '" + temp + "' to '" +
+                             path + "': " + std::strerror(rename_error));
+  }
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  if (std::FILE* handle = std::fopen(dir.c_str(), "r")) {
+    ::fsync(::fileno(handle));
+    std::fclose(handle);
+  }
 }
 
 Checkpoint load_checkpoint_file(const std::string& path) {

@@ -24,7 +24,9 @@
 namespace plfoc {
 
 struct Checkpoint {
-  std::uint32_t version = 1;
+  /// Format version; write_checkpoint always writes the current one (2:
+  /// v1 plus the checksum trailer) and read_checkpoint accepts only it.
+  std::uint32_t version = 2;
   SubstitutionModel model;
   unsigned categories = 4;
   double alpha = 1.0;
@@ -42,10 +44,14 @@ struct Checkpoint {
 /// Capture the engine's resumable state.
 Checkpoint make_checkpoint(const LikelihoodEngine& engine);
 
-/// Serialise / parse the binary checkpoint format (magic, version, LE).
+/// Serialise / parse the binary checkpoint format (magic, version, LE
+/// fields, then a checksum64 trailer over every preceding byte). Parsing
+/// consumes the whole stream and rejects a truncated or corrupted one.
 void write_checkpoint(std::ostream& out, const Checkpoint& checkpoint);
 Checkpoint read_checkpoint(std::istream& in);
 
+/// Crash-safe save: writes `path`.tmp, fsyncs it, then renames it over
+/// `path`, so an interrupted save leaves the previous checkpoint loadable.
 void save_checkpoint_file(const std::string& path,
                           const LikelihoodEngine& engine);
 

@@ -193,8 +193,7 @@ std::vector<std::uint8_t> encode_frame(MessageType type,
   return frame;
 }
 
-std::vector<std::uint8_t> encode_submit_request(const SubmitRequest& msg,
-                                                std::uint16_t version) {
+std::vector<std::uint8_t> encode_submit_request(const SubmitRequest& msg) {
   WireWriter body;
   body.u64(msg.request_id);
   body.string(msg.tenant);
@@ -218,8 +217,8 @@ std::vector<std::uint8_t> encode_submit_request(const SubmitRequest& msg,
     body.f64_vector(msg.tree_lengths);
     body.u64(msg.taxa_digest);
   }
-  if (version >= 2) body.u64(msg.deadline_ms);
-  return encode_frame(MessageType::kSubmitRequest, body.payload(), version);
+  body.u64(msg.deadline_ms);
+  return encode_frame(MessageType::kSubmitRequest, body.payload());
 }
 
 SubmitRequest decode_submit_request(const Frame& frame) {
@@ -252,9 +251,7 @@ SubmitRequest decode_submit_request(const Frame& frame) {
     msg.tree_lengths = reader.f64_vector();
     msg.taxa_digest = reader.u64();
   }
-  // v2 trailer: gate on the frame's own version so a v1 submit (no
-  // deadline on the wire) decodes exactly as before.
-  if (frame.version >= 2) msg.deadline_ms = reader.u64();
+  msg.deadline_ms = reader.u64();
   reader.expect_end();
   return msg;
 }
@@ -348,10 +345,8 @@ StatsResponse decode_stats_response(const Frame& frame) {
     row.failed = reader.u64();
     row.cancelled = reader.u64();
     row.cache_hits = reader.u64();
-    if (frame.version >= 2) {
-      row.expired = reader.u64();
-      row.shed = reader.u64();
-    }
+    row.expired = reader.u64();
+    row.shed = reader.u64();
     msg.tenants.push_back(std::move(row));
   }
   reader.expect_end();

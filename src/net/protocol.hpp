@@ -40,14 +40,13 @@
 namespace plfoc {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x4e464c50u;  // "PLFN"
-/// Current protocol version. v2 adds SubmitRequest::deadline_ms, the
+/// Current protocol version. v2 added SubmitRequest::deadline_ms, the
 /// deadline/cancel/overload result flags, and per-tenant expired/shed
-/// stats rows. Decoders accept every version in
-/// [kMinProtocolVersion, kProtocolVersion] and gate the v2 fields on the
-/// frame's own version, so a v1 peer interoperates unchanged (its submits
-/// simply carry no deadline).
+/// stats rows. Decoders accept exactly [kMinProtocolVersion,
+/// kProtocolVersion] — today only v2: the one peer is the in-repo client,
+/// so a frame of any other version fails with ProtocolError kBadVersion.
 inline constexpr std::uint16_t kProtocolVersion = 2;
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
+inline constexpr std::uint16_t kMinProtocolVersion = kProtocolVersion;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on one frame's payload; FrameDecoder rejects larger claims
 /// before buffering (a garbage length prefix must not allocate 4 GiB).
@@ -87,8 +86,7 @@ class ProtocolError : public std::runtime_error {
 };
 
 /// One decoded frame: validated header + raw payload bytes. `version` is
-/// the header's protocol version (within the accepted range); decoders use
-/// it to gate fields added after v1.
+/// the header's protocol version (within the accepted range).
 struct Frame {
   MessageType type = MessageType::kPing;
   std::uint16_t version = kProtocolVersion;
@@ -194,8 +192,8 @@ struct SubmitRequest {
   std::vector<std::uint32_t> tree_v;
   std::vector<double> tree_lengths;
   std::uint64_t taxa_digest = 0;
-  /// v2: end-to-end deadline in milliseconds, measured from server accept
-  /// (0 = none). Maps to JobSpec::deadline_seconds; absent from v1 frames.
+  /// End-to-end deadline in milliseconds, measured from server accept
+  /// (0 = none). Maps to JobSpec::deadline_seconds.
   std::uint64_t deadline_ms = 0;
 };
 
@@ -271,14 +269,13 @@ struct ErrorResponse {
 
 // Frame assembly: header + payload for one message. decode_* functions
 // take a Frame of the matching type (checked) and throw ProtocolError on
-// any malformation. The version parameters exist for compatibility tests
-// and old-peer emulation; production paths encode kProtocolVersion.
+// any malformation. encode_frame's version parameter exists to emulate
+// foreign peers in tests; production paths encode kProtocolVersion.
 std::vector<std::uint8_t> encode_frame(
     MessageType type, const std::vector<std::uint8_t>& body,
     std::uint16_t version = kProtocolVersion);
 
-std::vector<std::uint8_t> encode_submit_request(
-    const SubmitRequest& msg, std::uint16_t version = kProtocolVersion);
+std::vector<std::uint8_t> encode_submit_request(const SubmitRequest& msg);
 std::vector<std::uint8_t> encode_result_response(const ResultResponse& msg);
 std::vector<std::uint8_t> encode_stats_request(const StatsRequest& msg);
 std::vector<std::uint8_t> encode_stats_response(const StatsResponse& msg);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/checks.hpp"
+#include "util/checksum.hpp"
 #include "util/mutex.hpp"
 
 #if defined(__linux__) && __has_include(<linux/io_uring.h>)
@@ -24,16 +25,6 @@
 namespace plfoc {
 namespace {
 
-// Local splitmix64 finalizer (the repo-wide mixing permutation; duplicated
-// here because file_backend.hpp includes this header's sibling, not the
-// reverse).
-std::uint64_t aio_mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// O_DIRECT demands 512-aligned position, length and buffer; an attempt that
 /// violates any of the three goes through the buffered descriptor instead.
 int pick_fd(const AioOp& op, std::uint64_t position, std::size_t request,
@@ -44,115 +35,154 @@ int pick_fd(const AioOp& op, std::uint64_t position, std::size_t request,
   return op.fd;
 }
 
-/// The per-op retry/injection state machine — a faithful mirror of
-/// FileBackend::transfer_all, with the counter side effects accumulated into
-/// the completion (instead of backend atomics) and the terminal IoError
-/// reported as completion fields (instead of thrown): the engines run this
-/// off the calling thread, where a throw would terminate the process.
-AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
-  AioCompletion completion;
-  completion.token = op.token;
-  char* cursor = static_cast<char*>(op.buffer);
-  std::size_t remaining = op.bytes;
-  unsigned consecutive_failures = 0;
-  unsigned faults_this_transfer = 0;
-  std::uint64_t backoff_us = options.retry.backoff_initial_us;
-  while (remaining > 0) {
-    const std::uint64_t position = op.offset + (op.bytes - remaining);
-    std::size_t request = remaining;
-    int simulated_errno = 0;
-    if (options.injector != nullptr) {
-      const FaultDecision fault = const_cast<FaultInjector*>(options.injector)
-                                      ->next(op.is_write, faults_this_transfer);
-      if (fault.kind != FaultKind::kNone) ++completion.faults;
-      switch (fault.kind) {
-        case FaultKind::kNone:
-          break;
-        case FaultKind::kLatency:
-          // A stall, not an error: proceeds untouched, exempt from the burst
-          // cap (same contract as the sequential loop).
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(options.latency_ns));
-          break;
-        case FaultKind::kShortTransfer:
-          ++faults_this_transfer;
-          if (remaining > 1)
-            request = 1 + static_cast<std::size_t>(
-                              fault.fraction *
-                              static_cast<double>(remaining - 1));
-          break;
-        case FaultKind::kEintr:
-          ++faults_this_transfer;
-          simulated_errno = EINTR;
-          break;
-        case FaultKind::kEio:
-          ++faults_this_transfer;
-          simulated_errno = EIO;
-          break;
-        case FaultKind::kEnospc:
-          ++faults_this_transfer;
-          simulated_errno = op.is_write ? ENOSPC : EIO;
-          break;
-      }
+/// The per-op retry/injection state machine. run_transfer drives it with
+/// blocking syscalls; the io_uring engine drives it from its completion
+/// queue. Counter deltas accumulate in the completion (not backend atomics)
+/// and the terminal failure is recorded there (not thrown): the engines run
+/// this off the calling thread, where a throw would terminate the process.
+class TransferState {
+ public:
+  TransferState() = default;
+  TransferState(const AioOp& op, const AioEngineOptions& options)
+      : op_(op),
+        options_(&options),
+        backoff_us_(options.retry.backoff_initial_us) {
+    completion_.token = op.token;
+  }
+
+  const AioOp& op() const { return op_; }
+  std::size_t remaining() const { return op_.bytes - done_; }
+  std::uint64_t position() const { return op_.offset + done_; }
+  char* cursor() const { return static_cast<char*>(op_.buffer) + done_; }
+  const AioCompletion& completion() const { return completion_; }
+
+  /// Consult the fault schedule before the next attempt. Sets *request to
+  /// the bytes to ask for (an injected short transfer shrinks it) and
+  /// returns the simulated errno, or 0 when the real syscall should run.
+  int next_attempt(std::size_t* request) {
+    *request = remaining();
+    if (options_->injector == nullptr) return 0;
+    const FaultDecision fault = const_cast<FaultInjector*>(options_->injector)
+                                    ->next(op_.is_write, faults_this_transfer_);
+    if (fault.kind != FaultKind::kNone) ++completion_.faults;
+    switch (fault.kind) {
+      case FaultKind::kNone:
+        return 0;
+      case FaultKind::kLatency:
+        // A stall, not an error: the transfer proceeds untouched and the
+        // spike does not count against the burst cap.
+        std::this_thread::sleep_for(
+            std::chrono::nanoseconds(options_->latency_ns));
+        return 0;
+      case FaultKind::kShortTransfer:
+        ++faults_this_transfer_;
+        if (*request > 1)
+          *request = 1 + static_cast<std::size_t>(
+                             fault.fraction *
+                             static_cast<double>(*request - 1));
+        return 0;
+      case FaultKind::kEintr:
+        ++faults_this_transfer_;
+        return EINTR;
+      case FaultKind::kEio:
+        ++faults_this_transfer_;
+        return EIO;
+      case FaultKind::kEnospc:
+        ++faults_this_transfer_;
+        return op_.is_write ? ENOSPC : EIO;
     }
-    ssize_t moved;
-    if (simulated_errno != 0) {
-      // An injected error models a syscall that transferred nothing.
-      moved = -1;
-      errno = simulated_errno;
-    } else {
-      const int fd = pick_fd(op, position, request, cursor);
-      if (op.is_write) {
-        moved = ::pwrite(fd, cursor, request, static_cast<off_t>(position));
-      } else {
-        moved = ::pread(fd, cursor, request, static_cast<off_t>(position));
-      }
+    return 0;
+  }
+
+  /// One failed attempt (an injected error models a syscall that moved
+  /// nothing). EINTR retries unconditionally — POSIX permits it on a healthy
+  /// device; transient errors consume the bounded budget with exponential
+  /// backoff, resuming from the last completed byte; exhaustion records the
+  /// typed failure. Returns false when the op is finished.
+  bool fail(int error, bool injected) {
+    if (error == EINTR) {
+      ++completion_.retries;  // mandatory POSIX handling, never budgeted
+      return true;
     }
-    if (moved < 0) {
-      const int error = errno;
-      if (error == EINTR) {
-        ++completion.retries;  // mandatory POSIX handling, never budgeted
-        continue;
+    if (consecutive_failures_ < options_->retry.max_retries) {
+      ++consecutive_failures_;
+      ++completion_.retries;
+      if (backoff_us_ > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us_));
+        backoff_us_ = std::min<std::uint64_t>(
+            options_->retry.backoff_max_us,
+            static_cast<std::uint64_t>(static_cast<double>(backoff_us_) *
+                                       options_->retry.backoff_multiplier));
       }
-      if (consecutive_failures < options.retry.max_retries) {
-        ++consecutive_failures;
-        ++completion.retries;
-        if (backoff_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          backoff_us = std::min<std::uint64_t>(
-              options.retry.backoff_max_us,
-              static_cast<std::uint64_t>(static_cast<double>(backoff_us) *
-                                         options.retry.backoff_multiplier));
-        }
-        continue;  // resume from `position`: prior progress is kept
-      }
-      completion.exhausted = 1;
-      completion.error = error;
-      completion.fail_offset = position;
-      completion.attempts = consecutive_failures + 1;
-      completion.injected = simulated_errno != 0;
-      return completion;
+      return true;
     }
+    completion_.exhausted = 1;
+    completion_.error = error;
+    completion_.fail_offset = position();
+    completion_.attempts = consecutive_failures_ + 1;
+    completion_.injected = injected;
+    return false;
+  }
+
+  /// `moved` (> 0) bytes landed. A transfer that did not finish resumes
+  /// from the new cursor — that continuation counts as a retry.
+  void advance(std::size_t moved) {
     PLFOC_REQUIRE(moved > 0,
-                  op.is_write
+                  op_.is_write
                       ? "pwrite transferred no bytes"
                       : "pread hit end of vector file (file truncated?)");
-    if (static_cast<std::size_t>(moved) < remaining) ++completion.retries;
-    consecutive_failures = 0;
-    backoff_us = options.retry.backoff_initial_us;
-    cursor += moved;
-    remaining -= static_cast<std::size_t>(moved);
+    if (moved < remaining()) ++completion_.retries;
+    consecutive_failures_ = 0;
+    backoff_us_ = options_->retry.backoff_initial_us;
+    done_ += moved;
   }
-  return completion;
+
+ private:
+  AioOp op_;
+  const AioEngineOptions* options_ = nullptr;
+  std::size_t done_ = 0;  ///< bytes completed so far
+  unsigned consecutive_failures_ = 0;
+  unsigned faults_this_transfer_ = 0;
+  std::uint64_t backoff_us_ = 0;
+  AioCompletion completion_;
+};
+
+}  // namespace
+
+AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
+  TransferState transfer(op, options);
+  while (transfer.remaining() > 0) {
+    std::size_t request = 0;
+    const int simulated_errno = transfer.next_attempt(&request);
+    ssize_t moved = -1;
+    int error = simulated_errno;
+    if (simulated_errno == 0) {
+      const int fd = pick_fd(op, transfer.position(), request,
+                             transfer.cursor());
+      const off_t position = static_cast<off_t>(transfer.position());
+      moved = op.is_write ? ::pwrite(fd, transfer.cursor(), request, position)
+                          : ::pread(fd, transfer.cursor(), request, position);
+      if (moved < 0) error = errno;
+    }
+    if (moved < 0) {
+      if (!transfer.fail(error, simulated_errno != 0)) break;
+      continue;
+    }
+    transfer.advance(static_cast<std::size_t>(moved));
+  }
+  return transfer.completion();
 }
 
-/// Ops execute inline at submit() in submission order; completions pop FIFO.
-/// This is the sequential FileBackend loop wearing the queue interface.
+namespace {
+
+/// Ops execute inline at submit(), one at a time in submission order;
+/// completions pop FIFO. The batched path at depth 1.
 class SyncAioEngine final : public AioEngine {
  public:
   explicit SyncAioEngine(const AioEngineOptions& options)
       : options_(options) {}
   const char* name() const override { return "sync"; }
+  unsigned depth() const override { return 1; }
 
   void submit(const AioOp* ops, std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i)
@@ -183,6 +213,7 @@ class DeterministicAioEngine final : public AioEngine {
   explicit DeterministicAioEngine(const AioEngineOptions& options)
       : options_(options) {}
   const char* name() const override { return "deterministic"; }
+  unsigned depth() const override { return std::max(1u, options_.depth); }
 
   void submit(const AioOp* ops, std::size_t count) override {
     std::vector<AioCompletion> batch;
@@ -212,9 +243,9 @@ class DeterministicAioEngine final : public AioEngine {
     }
     // Fisher–Yates keyed by (seed, batch index): every batch of a run sees a
     // different but fully reproducible delivery order.
-    std::uint64_t state = aio_mix64(options_.permute_seed ^ aio_mix64(batch_id));
+    std::uint64_t state = mix64(options_.permute_seed ^ mix64(batch_id));
     for (std::size_t i = batch.size() - 1; i > 0; --i) {
-      state = aio_mix64(state);
+      state = mix64(state);
       std::swap(batch[i], batch[state % (i + 1)]);
     }
   }
@@ -248,6 +279,9 @@ class ThreadPoolAioEngine final : public AioEngine {
   }
 
   const char* name() const override { return "threads"; }
+  unsigned depth() const override {
+    return static_cast<unsigned>(workers_.size());
+  }
 
   void submit(const AioOp* ops, std::size_t count) override {
     {
@@ -317,7 +351,8 @@ int sys_io_uring_enter(int ring_fd, unsigned to_submit, unsigned min_complete,
 /// Linux io_uring backend over raw syscalls (the toolchain ships no
 /// liburing): one SQ/CQ ring pair, ops resubmitted from the completion
 /// handler on short transfers, EINTR, and budgeted transient errors — the
-/// same state machine as run_transfer, driven by CQEs instead of a loop.
+/// TransferState machine run_transfer uses, driven by CQEs instead of a
+/// loop.
 /// Injected faults are decided at (re)submission: a simulated errno never
 /// reaches the kernel, it synthesizes a failed attempt inline.
 class UringAioEngine final : public AioEngine {
@@ -340,6 +375,7 @@ class UringAioEngine final : public AioEngine {
   }
 
   const char* name() const override { return "uring"; }
+  unsigned depth() const override { return std::max(1u, options_.depth); }
 
   void submit(const AioOp* ops, std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) {
@@ -351,13 +387,9 @@ class UringAioEngine final : public AioEngine {
         slot = pending_.size();
         pending_.emplace_back();
       }
-      Pending& p = pending_[slot];
-      p = Pending{};
-      p.op = ops[i];
-      p.backoff_us = options_.retry.backoff_initial_us;
-      p.completion.token = ops[i].token;
+      pending_[slot] = TransferState(ops[i], options_);
       ++in_flight_;
-      if (p.op.bytes == 0) {
+      if (ops[i].bytes == 0) {
         finish(slot);
         continue;
       }
@@ -380,15 +412,6 @@ class UringAioEngine final : public AioEngine {
   }
 
  private:
-  struct Pending {
-    AioOp op;
-    std::size_t done = 0;  ///< bytes completed so far
-    unsigned consecutive_failures = 0;
-    unsigned faults_this_transfer = 0;
-    std::uint64_t backoff_us = 0;
-    AioCompletion completion;
-  };
-
   explicit UringAioEngine(const AioEngineOptions& options)
       : options_(options) {}
 
@@ -443,103 +466,36 @@ class UringAioEngine final : public AioEngine {
   /// it). Simulated errnos synthesize a failed attempt without the kernel.
   void drive(std::size_t slot) {
     for (;;) {
-      Pending& p = pending_[slot];
-      const std::size_t remaining = p.op.bytes - p.done;
-      const std::uint64_t position = p.op.offset + p.done;
-      std::size_t request = remaining;
-      int simulated_errno = 0;
-      if (options_.injector != nullptr) {
-        const FaultDecision fault =
-            const_cast<FaultInjector*>(options_.injector)
-                ->next(p.op.is_write, p.faults_this_transfer);
-        if (fault.kind != FaultKind::kNone) ++p.completion.faults;
-        switch (fault.kind) {
-          case FaultKind::kNone:
-            break;
-          case FaultKind::kLatency:
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(options_.latency_ns));
-            break;
-          case FaultKind::kShortTransfer:
-            ++p.faults_this_transfer;
-            if (remaining > 1)
-              request = 1 + static_cast<std::size_t>(
-                                fault.fraction *
-                                static_cast<double>(remaining - 1));
-            break;
-          case FaultKind::kEintr:
-            ++p.faults_this_transfer;
-            simulated_errno = EINTR;
-            break;
-          case FaultKind::kEio:
-            ++p.faults_this_transfer;
-            simulated_errno = EIO;
-            break;
-          case FaultKind::kEnospc:
-            ++p.faults_this_transfer;
-            simulated_errno = p.op.is_write ? ENOSPC : EIO;
-            break;
-        }
+      TransferState& transfer = pending_[slot];
+      std::size_t request = 0;
+      const int simulated_errno = transfer.next_attempt(&request);
+      if (simulated_errno == 0) {
+        push_sqe(slot, request);
+        return;
       }
-      if (simulated_errno != 0) {
-        if (!absorb_failure(p, simulated_errno, position, true)) {
-          finish(slot);
-          return;
-        }
-        continue;  // synthesized attempt failed transiently: try again
+      if (!transfer.fail(simulated_errno, true)) {
+        finish(slot);
+        return;
       }
-      push_sqe(slot, position, request);
-      return;
     }
   }
 
-  /// One failed attempt: EINTR retries unconditionally; transient errors
-  /// consume the bounded budget (with backoff); exhaustion records the typed
-  /// failure in the completion. Returns false when the op is finished.
-  bool absorb_failure(Pending& p, int error, std::uint64_t position,
-                      bool injected) {
-    if (error == EINTR) {
-      ++p.completion.retries;
-      return true;
-    }
-    if (p.consecutive_failures < options_.retry.max_retries) {
-      ++p.consecutive_failures;
-      ++p.completion.retries;
-      if (p.backoff_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(p.backoff_us));
-        p.backoff_us = std::min<std::uint64_t>(
-            options_.retry.backoff_max_us,
-            static_cast<std::uint64_t>(static_cast<double>(p.backoff_us) *
-                                       options_.retry.backoff_multiplier));
-      }
-      return true;
-    }
-    p.completion.exhausted = 1;
-    p.completion.error = error;
-    p.completion.fail_offset = position;
-    p.completion.attempts = p.consecutive_failures + 1;
-    p.completion.injected = injected;
-    return false;
-  }
-
-  void push_sqe(std::size_t slot, std::uint64_t position,
-                std::size_t request) {
+  void push_sqe(std::size_t slot, std::size_t request) {
     // Ring full: hand what we have to the kernel first.
     while (*sq_tail_ - __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE) >=
            sq_entries_)
       flush(1);
-    Pending& p = pending_[slot];
+    const TransferState& transfer = pending_[slot];
     const unsigned tail = *sq_tail_;
     const unsigned idx = tail & sq_mask_;
     io_uring_sqe* sqe = &sqes_[idx];
     std::memset(sqe, 0, sizeof *sqe);
-    sqe->opcode = p.op.is_write ? IORING_OP_WRITE : IORING_OP_READ;
-    sqe->fd = pick_fd(p.op, position, request,
-                      static_cast<const char*>(p.op.buffer) + p.done);
-    sqe->addr = reinterpret_cast<std::uint64_t>(
-        static_cast<char*>(p.op.buffer) + p.done);
+    sqe->opcode = transfer.op().is_write ? IORING_OP_WRITE : IORING_OP_READ;
+    sqe->fd = pick_fd(transfer.op(), transfer.position(), request,
+                      transfer.cursor());
+    sqe->addr = reinterpret_cast<std::uint64_t>(transfer.cursor());
     sqe->len = static_cast<unsigned>(request);
-    sqe->off = position;
+    sqe->off = transfer.position();
     sqe->user_data = slot;
     sq_array_[idx] = idx;
     __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
@@ -570,23 +526,16 @@ class UringAioEngine final : public AioEngine {
     }
     __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
     for (const auto& [slot, res] : results) {
-      Pending& p = pending_[slot];
+      TransferState& transfer = pending_[slot];
       if (res < 0) {
-        if (!absorb_failure(p, -res, p.op.offset + p.done, false))
+        if (!transfer.fail(-res, false))
           finish(slot);
         else
           drive(slot);
         continue;
       }
-      PLFOC_REQUIRE(res > 0,
-                    p.op.is_write
-                        ? "pwrite transferred no bytes"
-                        : "pread hit end of vector file (file truncated?)");
-      p.done += static_cast<std::size_t>(res);
-      if (p.done < p.op.bytes) ++p.completion.retries;
-      p.consecutive_failures = 0;
-      p.backoff_us = options_.retry.backoff_initial_us;
-      if (p.done >= p.op.bytes)
+      transfer.advance(static_cast<std::size_t>(res));
+      if (transfer.remaining() == 0)
         finish(slot);
       else
         drive(slot);
@@ -595,7 +544,7 @@ class UringAioEngine final : public AioEngine {
   }
 
   void finish(std::size_t slot) {
-    done_.push_back(pending_[slot].completion);
+    done_.push_back(pending_[slot].completion());
     free_.push_back(slot);
     --in_flight_;
   }
@@ -619,7 +568,7 @@ class UringAioEngine final : public AioEngine {
   unsigned cq_mask_ = 0;
   io_uring_cqe* cqes_ = nullptr;
   unsigned to_submit_ = 0;
-  std::vector<Pending> pending_;
+  std::vector<TransferState> pending_;
   std::vector<std::size_t> free_;
   std::deque<AioCompletion> done_;
   std::size_t in_flight_ = 0;

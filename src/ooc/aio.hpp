@@ -1,17 +1,18 @@
 // Asynchronous I/O engine — a submission/completion-queue abstraction under
-// the FileBackend (ROADMAP item 2; docs/async-io.md).
+// the FileBackend (docs/async-io.md).
 //
 // The paper's out-of-core regime is disk-bound: a synchronous pread/pwrite
 // loop serialises the eviction write-back, the demand read, and every
 // prefetch stage. An AioEngine accepts a *batch* of raw transfer ops and
 // delivers their completions as they finish, so the stores can overlap the
 // victim write-back with the demand read and the prefetcher can keep a whole
-// lookahead window in flight.
+// lookahead window in flight. Every vector transfer goes through one batch
+// path (FileBackend::submit_vector_ops) whatever the engine; the engines only
+// differ in how a batch's ops execute.
 //
 // Four backends share one contract:
-//   kSync          — ops execute in submission order at submit(); the
-//                    historical sequential path, byte-identical to the old
-//                    one-loop FileBackend (the default).
+//   kSync          — ops execute one at a time, in submission order, at
+//                    submit(): the batched path at depth 1 (the default).
 //   kThreads       — a portable worker pool; completions arrive in whatever
 //                    order the workers finish.
 //   kUring         — Linux io_uring via raw syscalls (the container carries
@@ -29,11 +30,12 @@
 //
 // Fault injection and retry live at *submission granularity*: every queued op
 // consults the shared FaultInjector schedule before each syscall attempt and
-// carries its own RetryPolicy state, mirroring FileBackend::transfer_all
-// exactly (short-transfer resumption, unconditional EINTR retry, bounded
-// transient-error retry with exponential backoff). Instead of throwing, an
-// exhausted op reports the final errno in its completion — the FileBackend
-// turns that into the same typed IoError the sequential path throws.
+// carries its own RetryPolicy state (short-transfer resumption, unconditional
+// EINTR retry, bounded transient-error retry with exponential backoff) —
+// run_transfer below is that one loop, and the io_uring engine drives the
+// same state machine from its completions. Instead of throwing, an exhausted
+// op reports the final errno in its completion — the FileBackend turns that
+// into the typed IoError.
 #pragma once
 
 #include <cstddef>
@@ -79,8 +81,8 @@ struct AioOp {
 
 /// Completion of one AioOp, carrying the outcome plus the counter deltas the
 /// per-op retry/injection state machine accumulated. The FileBackend folds
-/// the deltas into its robustness atomics at completion time, so totals match
-/// the sequential path regardless of delivery order.
+/// the deltas into its robustness atomics at completion time, so totals do
+/// not depend on delivery order.
 struct AioCompletion {
   std::uint64_t token = 0;
   int error = 0;  ///< 0 = success; else errno of the final failed attempt
@@ -116,6 +118,10 @@ class AioEngine {
  public:
   virtual ~AioEngine() = default;
   virtual const char* name() const = 0;
+  /// How many ops the engine keeps in flight at once: 1 for kSync, the
+  /// worker count / ring size / configured depth for the others. Callers
+  /// size their batches by it (the prefetcher's batch limit).
+  virtual unsigned depth() const = 0;
   /// Enqueue `count` ops. May begin — or, for the sync and deterministic
   /// engines, fully perform — execution before returning.
   virtual void submit(const AioOp* ops, std::size_t count) = 0;
@@ -126,6 +132,14 @@ class AioEngine {
   /// engine runs dry first — that would mean completions were lost.
   void collect(AioCompletion* out, std::size_t count);
 };
+
+/// The per-op retry/injection state machine every engine runs (io_uring
+/// drives the same steps from its completion queue): loops over short
+/// transfers and EINTR, retries transient errors per options.retry, and
+/// consults options.injector before each attempt. Counter deltas accumulate
+/// in the completion; exhaustion is reported there, never thrown, so it is
+/// safe on an engine's worker threads.
+AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options);
 
 /// Build an engine. kUring silently degrades to kThreads when io_uring is
 /// unavailable (old kernel, seccomp, resource limits) — name() tells.
@@ -148,7 +162,7 @@ struct AioEngineHandle {
 };
 
 /// Build a shareable engine handle (no injector, default retry). Returns
-/// null for kSync — the sequential path has no engine state worth sharing.
+/// null for kSync — an inline engine has no state worth sharing.
 std::shared_ptr<AioEngineHandle> make_shared_aio_engine(AioEngineKind kind,
                                                         unsigned depth);
 

@@ -6,10 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "util/checks.hpp"
 
@@ -70,107 +68,28 @@ const char* VerifyResult::status_name() const {
   return "?";
 }
 
-// The single I/O loop behind every vector transfer. POSIX permits pread /
-// pwrite to transfer fewer bytes than requested or fail with EINTR on a
-// perfectly healthy device, so short-transfer resumption and EINTR retry are
-// unconditional — they neither consume retry budget nor depend on fault
-// injection being configured. Transient errors (EIO, ENOSPC, ...) consume
-// the bounded RetryPolicy budget with exponential backoff; completed
-// progress is kept across retries (partial-I/O resumption), and any
-// successful transfer resets the consecutive-failure count.
+// Byte-range and metadata transfers run the engines' own per-op loop
+// (run_transfer) inline, so exactly one retry/injection loop exists.
 void FileBackend::transfer_all(bool is_write, int fd, void* buffer,
                                std::size_t bytes, std::uint64_t offset) {
-  char* cursor = static_cast<char*>(buffer);
-  std::size_t remaining = bytes;
-  unsigned consecutive_failures = 0;
-  unsigned faults_this_transfer = 0;
-  std::uint64_t backoff_us = options_.retry.backoff_initial_us;
-  const char* op = is_write ? "pwrite" : "pread";
-  while (remaining > 0) {
-    const std::uint64_t position = offset + (bytes - remaining);
-    std::size_t request = remaining;
-    int simulated_errno = 0;
-    if (injector_ != nullptr) {
-      const FaultDecision fault =
-          injector_->next(is_write, faults_this_transfer);
-      if (fault.kind != FaultKind::kNone)
-        faults_injected_.fetch_add(1, std::memory_order_relaxed);
-      switch (fault.kind) {
-        case FaultKind::kNone:
-          break;
-        case FaultKind::kLatency:
-          // A stall, not an error: the transfer proceeds untouched and the
-          // spike does not count against the burst cap.
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(options_.faults.latency_ns));
-          break;
-        case FaultKind::kShortTransfer:
-          ++faults_this_transfer;
-          if (remaining > 1)
-            request = 1 + static_cast<std::size_t>(
-                              fault.fraction *
-                              static_cast<double>(remaining - 1));
-          break;
-        case FaultKind::kEintr:
-          ++faults_this_transfer;
-          simulated_errno = EINTR;
-          break;
-        case FaultKind::kEio:
-          ++faults_this_transfer;
-          simulated_errno = EIO;
-          break;
-        case FaultKind::kEnospc:
-          ++faults_this_transfer;
-          simulated_errno = is_write ? ENOSPC : EIO;
-          break;
-      }
-    }
-    ssize_t moved;
-    if (simulated_errno != 0) {
-      // An injected error models a syscall that transferred nothing.
-      moved = -1;
-      errno = simulated_errno;
-    } else if (is_write) {
-      moved = ::pwrite(fd, cursor, request, static_cast<off_t>(position));
-    } else {
-      moved = ::pread(fd, cursor, request, static_cast<off_t>(position));
-    }
-    if (moved < 0) {
-      const int error = errno;
-      if (error == EINTR) {
-        // Mandatory POSIX handling, never bounded by the retry policy.
-        io_retries_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (consecutive_failures < options_.retry.max_retries) {
-        ++consecutive_failures;
-        io_retries_.fetch_add(1, std::memory_order_relaxed);
-        if (backoff_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          backoff_us = std::min<std::uint64_t>(
-              options_.retry.backoff_max_us,
-              static_cast<std::uint64_t>(
-                  static_cast<double>(backoff_us) *
-                  options_.retry.backoff_multiplier));
-        }
-        continue;  // resume from `position`: prior progress is kept
-      }
-      io_exhausted_.fetch_add(1, std::memory_order_relaxed);
-      throw IoError(op, error, position, consecutive_failures + 1,
-                    simulated_errno != 0);
-    }
-    PLFOC_REQUIRE(moved > 0,
-                  is_write ? "pwrite transferred no bytes"
-                           : "pread hit end of vector file (file truncated?)");
-    // A transfer that did not finish in this syscall resumes from the new
-    // cursor on the next iteration — count that continuation as a retry.
-    if (static_cast<std::size_t>(moved) < remaining)
-      io_retries_.fetch_add(1, std::memory_order_relaxed);
-    consecutive_failures = 0;
-    backoff_us = options_.retry.backoff_initial_us;
-    cursor += moved;
-    remaining -= static_cast<std::size_t>(moved);
-  }
+  AioOp op;
+  op.is_write = is_write;
+  op.fd = fd;
+  op.buffer = buffer;
+  op.bytes = bytes;
+  op.offset = offset;
+  const AioCompletion completion = run_transfer(op, transfer_options_);
+  fold(completion);
+  if (!completion.ok())
+    throw IoError(is_write ? "pwrite" : "pread", completion.error,
+                  completion.fail_offset, completion.attempts,
+                  completion.injected);
+}
+
+void FileBackend::fold(const AioCompletion& completion) {
+  faults_injected_.fetch_add(completion.faults, std::memory_order_relaxed);
+  io_retries_.fetch_add(completion.retries, std::memory_order_relaxed);
+  io_exhausted_.fetch_add(completion.exhausted, std::memory_order_relaxed);
 }
 
 FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
@@ -212,26 +131,28 @@ FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
     }
   }
 
+  transfer_options_.kind = options_.io_engine;
+  transfer_options_.depth = options_.io_depth < 1 ? 1 : options_.io_depth;
+  transfer_options_.permute_seed = options_.io_permute_seed;
+  transfer_options_.injector = injector_.get();
+  transfer_options_.retry = options_.retry;
+  transfer_options_.latency_ns = options_.faults.latency_ns;
   // Adopt the shared engine only when nothing this backend binds into a
   // private engine would be lost: no fault schedule (the engine carries the
   // injector + latency spike), matching kind/depth, and no bespoke
-  // completion permutation. Otherwise build a private engine as before.
-  const unsigned resolved_depth = options_.io_depth < 1 ? 1 : options_.io_depth;
+  // completion permutation. Otherwise build a private engine.
   if (options_.shared_engine != nullptr && injector_ == nullptr &&
       options_.shared_engine->kind == options_.io_engine &&
-      options_.shared_engine->depth == resolved_depth &&
+      options_.shared_engine->depth == transfer_options_.depth &&
       (options_.io_engine != AioEngineKind::kDeterministic ||
        options_.io_permute_seed == kAioOrderIdentity)) {
     shared_engine_ = options_.shared_engine;
+    MutexLock lock(shared_engine_->mutex);
+    io_depth_ = shared_engine_->engine->depth();
   } else {
-    AioEngineOptions engine_options;
-    engine_options.kind = options_.io_engine;
-    engine_options.depth = resolved_depth;
-    engine_options.permute_seed = options_.io_permute_seed;
-    engine_options.injector = injector_.get();
-    engine_options.retry = options_.retry;
-    engine_options.latency_ns = options_.faults.latency_ns;
-    engine_ = make_aio_engine(engine_options);
+    MutexLock lock(engine_mutex_);
+    engine_ = make_aio_engine(transfer_options_);
+    io_depth_ = engine_->depth();
   }
 
   // Vectors stripe round-robin: file k holds ceil((count - k)/num_files).
@@ -350,78 +271,54 @@ void FileBackend::charge(std::size_t bytes) {
 }
 
 void FileBackend::read_vector(std::uint32_t index, void* dst) {
-  const Location loc = locate(index);
-  const std::uint64_t base =
-      options_.integrity ? integrity_[loc.file].payload_offset : 0;
-  transfer_all(false, loc.fd, dst, bytes_per_vector_, base + loc.offset);
-  charge(bytes_per_vector_);
+  VectorOp op;
+  op.index = index;
+  op.buffer = dst;
+  submit_vector_ops(&op, 1);
+  throw_if_failed(op);
 }
 
 void FileBackend::write_vector(std::uint32_t index, const void* src) {
-  const Location loc = locate(index);
-  if (!options_.integrity) {
-    transfer_all(true, loc.fd, const_cast<void*>(src), bytes_per_vector_,
-                 loc.offset);
-    charge(bytes_per_vector_);
-    return;
-  }
-  FileIntegrity& fi = integrity_[loc.file];
-  // The table records the *intended* content, computed from memory, never
-  // re-read from the file — that is what makes a torn or dropped payload
-  // write detectable on the next verified read.
-  const std::uint64_t checksum =
-      checksum64(fi.checksum_seed, src, bytes_per_vector_);
-  const std::uint64_t generation =
-      fi.generation[loc.block].load(std::memory_order_relaxed) + 1;
-  CorruptionDecision corruption;
-  if (injector_ != nullptr) corruption = injector_->next_corruption(true);
-  switch (corruption.kind) {
-    case CorruptionKind::kStale:
-      // The device acks but nothing reaches the medium: neither payload nor
-      // table is written. The mirror still advances, so the next verified
-      // read sees the on-disk table lagging — a stale-generation replay.
-      corruptions_injected_.fetch_add(1, std::memory_order_relaxed);
-      fi.corrupt_mark[loc.block].store(1, std::memory_order_relaxed);
-      break;
-    case CorruptionKind::kTorn: {
-      std::size_t prefix = 1 + static_cast<std::size_t>(
-                                   corruption.a *
-                                   static_cast<double>(bytes_per_vector_ - 1));
-      prefix = std::min(prefix, bytes_per_vector_ - 1);
-      transfer_all(true, loc.fd, const_cast<void*>(src), prefix,
-                   fi.payload_offset + loc.offset);
-      store_table_entry(loc.file, loc.block, checksum, generation, true);
-      corruptions_injected_.fetch_add(1, std::memory_order_relaxed);
-      fi.corrupt_mark[loc.block].store(1, std::memory_order_relaxed);
-      break;
-    }
-    default:
-      transfer_all(true, loc.fd, const_cast<void*>(src), bytes_per_vector_,
-                   fi.payload_offset + loc.offset);
-      store_table_entry(loc.file, loc.block, checksum, generation, true);
-      fi.corrupt_mark[loc.block].store(0, std::memory_order_relaxed);
-      break;
-  }
-  fi.checksum[loc.block].store(checksum, std::memory_order_relaxed);
-  fi.generation[loc.block].store(generation, std::memory_order_relaxed);
-  charge(bytes_per_vector_);
+  VectorOp op;
+  op.is_write = true;
+  op.index = index;
+  op.buffer = const_cast<void*>(src);
+  submit_vector_ops(&op, 1);
+  throw_if_failed(op);
 }
 
-// Batched vector transfers through the AioEngine. The completions may arrive
-// in any order, so every effect that must be deterministic — injector draws,
-// checksum-table writes, counter folds, verification, corruption draws — is
-// split between submission time (in op order) and a completion pass that
-// walks the batch in op order again, keyed by token rather than by delivery.
-// Per-op semantics mirror the sequential read_vector / write_vector /
-// read_vector_verified paths exactly; the only intended difference is that a
-// coalesced range — read or write — charges the device model once for the
-// whole range.
+VerifyResult FileBackend::read_vector_verified(std::uint32_t index,
+                                               void* dst) {
+  VectorOp op;
+  op.index = index;
+  op.buffer = dst;
+  op.verify = true;
+  submit_vector_ops(&op, 1);
+  throw_if_failed(op);
+  return op.verify_result;
+}
+
+void FileBackend::throw_if_failed(const VectorOp& op) {
+  if (!op.ok())
+    throw IoError(op.is_write ? "pwrite" : "pread", op.error, op.fail_offset,
+                  op.attempts, op.injected);
+}
+
+// Batched vector transfers through the AioEngine — every engine, sync
+// included. The completions may arrive in any order, so every effect that
+// must be deterministic — injector draws, checksum-table writes, counter
+// folds, verification, corruption draws — is split between submission time
+// (in op order) and a completion pass that walks the batch in op order
+// again, keyed by token rather than by delivery. A coalesced range — read or
+// write — charges the device model once for the whole range.
 void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
   if (count == 0) return;
+  // The checksum table is indexed per vector on this path.
+  PLFOC_CHECK(!options_.integrity || block_bytes_ == bytes_per_vector_);
   io_batches_.fetch_add(1, std::memory_order_relaxed);
 
-  // Write-side integrity decisions are drawn at submission, in op order
-  // (write_vector draws before its payload I/O, too).
+  // Write-side integrity decisions are drawn at submission, in op order,
+  // before any payload moves.
   struct WritePlan {
     std::uint64_t checksum = 0;
     std::uint64_t generation = 0;
@@ -541,7 +438,11 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
   }
 
   std::vector<AioCompletion> completions(staged.size());
-  if (!staged.empty()) {
+  if (staged.size() == 1) {
+    // One transfer has nothing to overlap: run it on this thread instead of
+    // handing it to the engine's workers and waiting for it to come back.
+    completions[0] = run_transfer(staged[0].aio, transfer_options_);
+  } else if (!staged.empty()) {
     std::vector<AioOp> aio_ops;
     aio_ops.reserve(staged.size());
     for (const Staged& s : staged) aio_ops.push_back(s.aio);
@@ -570,9 +471,7 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
     const Staged& s = staged[t];
     PLFOC_CHECK(by_token[t] != nullptr);
     const AioCompletion& completion = *by_token[t];
-    faults_injected_.fetch_add(completion.faults, std::memory_order_relaxed);
-    io_retries_.fetch_add(completion.retries, std::memory_order_relaxed);
-    io_exhausted_.fetch_add(completion.exhausted, std::memory_order_relaxed);
+    fold(completion);
     const bool merged = s.members.size() > 1;
     for (const std::size_t i : s.members) {
       if (merged) {
@@ -589,9 +488,8 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
       }
     }
     // A ranged transfer is one device operation however many vectors it
-    // carries; a failed transfer charges nothing (the sequential path throws
-    // before charge()). Single writes keep charging in the bookkeeping pass
-    // below, after their table entry lands, exactly like write_vector.
+    // carries; a failed transfer charges nothing. Single writes charge in
+    // the bookkeeping pass below, once their table entry has landed.
     if (completion.ok() && (!s.aio.is_write || merged)) charge(s.aio.bytes);
   }
 
@@ -617,7 +515,7 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
         continue;
       }
       // A failed payload leaves table, mirror, marks and device accounting
-      // untouched — exactly the state write_vector's throw leaves behind.
+      // untouched.
       if (!op.ok()) continue;
       try {
         store_table_entry(loc.file, loc.block, plan.checksum, plan.generation,
@@ -658,27 +556,6 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
             classify_mismatch(loc.file, loc.block, injected_now);
     }
   }
-}
-
-VerifyResult FileBackend::read_vector_verified(std::uint32_t index,
-                                               void* dst) {
-  PLFOC_CHECK(options_.integrity);
-  PLFOC_CHECK(block_bytes_ == bytes_per_vector_);
-  const Location loc = locate(index);
-  FileIntegrity& fi = integrity_[loc.file];
-  transfer_all(false, loc.fd, dst, bytes_per_vector_,
-               fi.payload_offset + loc.offset);
-  charge(bytes_per_vector_);
-  VerifyResult result;
-  const std::uint64_t generation =
-      fi.generation[loc.block].load(std::memory_order_relaxed);
-  if (generation == 0) return result;  // never written: preallocated zeros
-  const bool injected_now = apply_read_corruption(dst, bytes_per_vector_);
-  const std::uint64_t expected =
-      fi.checksum[loc.block].load(std::memory_order_relaxed);
-  if (checksum64(fi.checksum_seed, dst, bytes_per_vector_) == expected)
-    return result;
-  return classify_mismatch(loc.file, loc.block, injected_now);
 }
 
 VerifyResult FileBackend::read_bytes_verified(std::uint64_t offset, void* dst,

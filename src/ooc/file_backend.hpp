@@ -24,42 +24,10 @@
 
 #include "ooc/aio.hpp"
 #include "ooc/faults.hpp"
+#include "util/checksum.hpp"
 #include "util/mutex.hpp"
 
 namespace plfoc {
-
-/// The splitmix64 finalizer — the repo-wide mixing permutation (util/rng.cpp
-/// and ooc/faults.cpp use the same constants).
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Seeded 64-bit content checksum over an integrity block: one mix64 round
-/// per 8-byte little-endian word, tail zero-padded and salted with the
-/// length so blocks of different sizes never collide trivially. Seeding
-/// makes checksums file-specific: a record replayed from another file (or
-/// stripe) with a self-consistent checksum still fails verification.
-inline std::uint64_t checksum64(std::uint64_t seed, const void* data,
-                                std::size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h =
-      seed ^ (0x9e3779b97f4a7c15ull + (static_cast<std::uint64_t>(bytes) << 1));
-  std::size_t i = 0;
-  for (; i + 8 <= bytes; i += 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p + i, 8);
-    h = mix64(h ^ word);
-  }
-  if (i < bytes) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p + i, bytes - i);
-    h = mix64(h ^ word ^ static_cast<std::uint64_t>(bytes));
-  }
-  return h;
-}
 
 /// Deterministic storage-device cost model. The paper's Fig. 5 machine had
 /// 2 GB of RAM, so its vector file could never be page-cached and every
@@ -95,12 +63,12 @@ struct FileBackendOptions {
   /// byte-granular path verifies page runs. Must divide into the payload
   /// only logically — the final block of a file may be short.
   std::size_t integrity_block_bytes = 0;
-  /// Async submission/completion backend for batched vector ops
-  /// (docs/async-io.md). kSync keeps the historical sequential path; the
-  /// stores only take their overlapped eviction/demand and batched-prefetch
-  /// paths when this is an async engine.
+  /// Submission/completion backend every vector transfer runs through
+  /// (docs/async-io.md). kSync is the batched path at depth 1: a batch's ops
+  /// run inline, one at a time, in submission order.
   AioEngineKind io_engine = AioEngineKind::kSync;
-  /// Queue depth for the async engines (worker count / ring size).
+  /// Queue depth for the threads/uring/deterministic engines (worker count
+  /// / ring size); the sync engine always runs at depth 1.
   unsigned io_depth = 8;
   /// Completion-delivery permutation seed (kDeterministic engine only).
   std::uint64_t io_permute_seed = kAioOrderIdentity;
@@ -173,13 +141,14 @@ class FileBackend {
     return static_cast<std::uint64_t>(count_) * bytes_per_vector_;
   }
 
-  /// Read/write one whole vector (one logical block).
+  /// Read/write one whole vector (one logical block) as a one-op batch;
+  /// throws IoError when the transfer exhausts its retries.
   void read_vector(std::uint32_t index, void* dst);
   void write_vector(std::uint32_t index, const void* src);
 
   /// One whole-vector transfer in a batch submitted through the AioEngine.
-  /// Outcome fields are filled by submit_vector_ops; `verify` requests the
-  /// read_vector_verified semantics at completion (requires integrity).
+  /// Outcome fields are filled by submit_vector_ops; `verify` checks the
+  /// record against its checksum at completion (requires integrity).
   struct VectorOp {
     // -- request --
     bool is_write = false;
@@ -187,9 +156,9 @@ class FileBackend {
     void* buffer = nullptr;  ///< read target / write source, bytes_per_vector()
     bool verify = false;     ///< verified read (reads only)
     // -- outcome --
-    /// 0 = transferred; else errno of the exhausted transfer (the caller
-    /// converts to the same typed IoError the sequential path throws, using
-    /// attempts/fail_offset/injected below).
+    /// 0 = transferred; else errno of the exhausted transfer
+    /// (throw_if_failed converts it, with attempts/fail_offset/injected
+    /// below, into the typed IoError).
     int error = 0;
     unsigned attempts = 0;
     std::uint64_t fail_offset = 0;
@@ -200,7 +169,8 @@ class FileBackend {
   };
 
   /// Submit a batch of whole-vector transfers through the configured
-  /// AioEngine and block until all complete. Adjacent reads (same stripe
+  /// AioEngine and block until all complete. This is the only code that
+  /// moves a vector between RAM and the file. Adjacent reads (same stripe
   /// file, contiguous file offsets AND contiguous buffers) coalesce into
   /// single ranged ops, charged as one device operation; adjacent *writes*
   /// (same file, contiguous offsets — sources need not be contiguous, a
@@ -212,20 +182,22 @@ class FileBackend {
   /// thrown; ops in one batch must not alias buffers or vector indices.
   void submit_vector_ops(VectorOp* ops, std::size_t count);
 
-  /// True when the configured engine completes ops out of submission order
-  /// (threads/uring/deterministic): the stores' overlap paths key off this.
-  bool async_io() const { return options_.io_engine != AioEngineKind::kSync; }
-  unsigned io_depth() const { return options_.io_depth < 1 ? 1 : options_.io_depth; }
+  /// Throw the typed IoError ("pwrite"/"pread") an op's failure records.
+  static void throw_if_failed(const VectorOp& op);
+
+  /// Ops the resolved engine keeps in flight at once (AioEngine::depth():
+  /// 1 for sync).
+  unsigned io_depth() const { return io_depth_; }
   /// Resolved engine name ("sync", "threads", "uring", "deterministic") —
   /// reflects a uring→threads runtime fallback.
   const char* io_engine_name() const;
 
-  /// Verified whole-vector read: reads the payload, applies any scheduled
-  /// read-side corruption, then checks the content against the in-memory
-  /// checksum/generation mirror. Never-written vectors (generation 0)
-  /// verify trivially — preallocated zeros are the contract. Requires
-  /// integrity; detection only — the *store* decides whether to recover or
-  /// throw IntegrityError.
+  /// Verified whole-vector read (a one-op batch with `verify` set): reads
+  /// the payload, applies any scheduled read-side corruption, then checks
+  /// the content against the in-memory checksum/generation mirror.
+  /// Never-written vectors (generation 0) verify trivially — preallocated
+  /// zeros are the contract. Requires integrity; detection only — the
+  /// *store* decides whether to recover or throw IntegrityError.
   VerifyResult read_vector_verified(std::uint32_t index, void* dst);
 
   /// Verified byte-granular read (num_files == 1): verifies every integrity
@@ -333,13 +305,12 @@ class FileBackend {
 
  private:
   void charge(std::size_t bytes);
+  /// Fold a completion's fault/retry/exhaustion deltas into the counters.
+  void fold(const AioCompletion& completion);
 
-  /// The one I/O loop every transfer goes through: loops over short
-  /// transfers (resuming from the last completed byte) and EINTR
-  /// unconditionally — POSIX permits both on a healthy device — and retries
-  /// transient errors per RetryPolicy with exponential backoff. Consults the
-  /// fault injector, when configured, before each syscall. Throws IoError
-  /// once the retry budget is exhausted.
+  /// Byte-range and table-entry transfers outside the vector batches: one
+  /// run_transfer (the engines' retry/injection loop) on the calling
+  /// thread, its counters folded, IoError thrown on exhaustion.
   void transfer_all(bool is_write, int fd, void* buffer, std::size_t bytes,
                     std::uint64_t offset);
 
@@ -403,6 +374,11 @@ class FileBackend {
   std::size_t bytes_per_vector_;
   FileBackendOptions options_;
   std::size_t block_bytes_ = 0;  ///< integrity-block granularity (resolved)
+  /// Injector, retry policy and latency for the transfers this thread runs
+  /// itself (transfer_all, one-transfer batches) and for the private engine,
+  /// which is built from the same options.
+  AioEngineOptions transfer_options_;
+  unsigned io_depth_ = 1;  ///< the resolved engine's depth()
   std::vector<int> fds_;
   std::vector<int> direct_fds_;  ///< empty when direct_io is off
   std::vector<std::string> paths_;

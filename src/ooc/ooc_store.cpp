@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.hpp"
 
@@ -37,7 +38,7 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
                                OocStoreOptions options)
     : AncestralStore(count, width),
       options_(std::move(options)),
-      arena_(std::min(options_.num_slots, count) * width),
+      arena_((std::min(options_.num_slots, count) + 1) * width),
 #ifdef PLFOC_AUDIT
       auditor_(count, std::min(options_.num_slots, count)),
 #endif
@@ -46,8 +47,9 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
       vector_slot_(count, kNoSlot),
       touched_(count, false),
       prefetched_unread_(count, false),
-      float_scratch_(options_.disk_precision == DiskPrecision::kSingle ? width
-                                                                        : 0),
+      float_scratch_(options_.disk_precision == DiskPrecision::kSingle
+                         ? 2 * width
+                         : 0),
       file_generation_(count, 0),
       file_(count,
             width * (options_.disk_precision == DiskPrecision::kSingle
@@ -58,6 +60,11 @@ OutOfCoreStore::OutOfCoreStore(std::size_t count, std::size_t width,
                                              options_.seed, options_.tree})) {
   PLFOC_REQUIRE(options_.num_slots >= 3,
                 "the out-of-core store needs at least 3 slots (m >= 3)");
+  // Slot s starts on arena block s; the last block is the spare.
+  slot_buffer_.reserve(slot_count_);
+  for (std::size_t s = 0; s < slot_count_; ++s)
+    slot_buffer_.push_back(arena_.data() + s * width);
+  spare_ = arena_.data() + slot_count_ * width;
   PLFOC_LOG(kInfo) << "out-of-core store: " << count << " vectors x " << width
                    << " doubles, " << slot_count_ << " slots ("
                    << (slot_memory_bytes() >> 20) << " MiB RAM), strategy="
@@ -95,76 +102,72 @@ void OutOfCoreStore::refresh_fault_counters() {
   stats_locked().io_write_coalesced = file_.io_write_coalesced();
 }
 
-VerifyResult OutOfCoreStore::file_read(std::uint32_t index, double* dst,
-                                       bool verify) {
-  VerifyResult result;
-  const bool verified = verify && file_.integrity();
-  if (options_.disk_precision == DiskPrecision::kDouble) {
-    if (verified)
-      result = file_.read_vector_verified(index, dst);
-    else
-      file_.read_vector(index, dst);
-  } else {
-    // Verification runs over the on-disk representation (floats), before
-    // widening — the checksum covers file bytes, not RAM content.
-    if (verified)
-      result = file_.read_vector_verified(index, float_scratch_.data());
-    else
-      file_.read_vector(index, float_scratch_.data());
-    for (std::size_t i = 0; i < width_; ++i)
-      dst[i] = static_cast<double>(float_scratch_[i]);
-  }
-  ++stats_locked().file_reads;
-  stats_locked().bytes_read += file_.bytes_per_vector();
-  refresh_fault_counters();
-  return result;
+void* OutOfCoreStore::disk_image(std::uint32_t slot,
+                                  std::vector<float>& staging,
+                                  std::size_t k) {
+  if (options_.disk_precision == DiskPrecision::kDouble) return slot_data(slot);
+  const double* src = slot_data(slot);
+  float* dst = staging.data() + k * width_;
+  for (std::size_t i = 0; i < width_; ++i) dst[i] = static_cast<float>(src[i]);
+  return dst;
 }
 
-void OutOfCoreStore::file_write(std::uint32_t index, const double* src) {
+// Images may sit in byte staging (prefetch), so they are read by memcpy.
+void OutOfCoreStore::load_image(double* dst, const void* image) const {
   if (options_.disk_precision == DiskPrecision::kDouble) {
-    file_.write_vector(index, src);
-  } else {
-    for (std::size_t i = 0; i < width_; ++i)
-      float_scratch_[i] = static_cast<float>(src[i]);
-    file_.write_vector(index, float_scratch_.data());
+    std::memcpy(dst, image, width_ * sizeof(double));
+    return;
   }
+  const char* src = static_cast<const char*>(image);
+  for (std::size_t i = 0; i < width_; ++i) {
+    float value;
+    std::memcpy(&value, src + i * sizeof(float), sizeof(float));
+    dst[i] = static_cast<double>(value);
+  }
+}
+
+void OutOfCoreStore::count_write(std::uint32_t index) {
   ++stats_locked().file_writes;
   stats_locked().bytes_written += file_.bytes_per_vector();
   ++file_generation_[index];
-  refresh_fault_counters();
   PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(index));
 }
 
-std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
-  // Free slot available? (Cold phase, or count <= slots.)
+std::uint32_t OutOfCoreStore::pick_slot(std::uint32_t incoming,
+                                        const std::vector<bool>& claimed) {
+  const auto free_to_take = [&](std::uint32_t s) {
+    return claimed.empty() || !claimed[s];
+  };
   for (std::uint32_t s = 0; s < slots_.size(); ++s)
-    if (slots_[s].vector == kNoVector) return s;
-
-  // Collect eviction candidates: resident and unpinned.
+    if (slots_[s].vector == kNoVector && free_to_take(s)) return s;
   std::vector<std::uint32_t> candidates;
   candidates.reserve(slots_.size());
-  for (const Slot& slot : slots_)
-    if (slot.pins == 0) candidates.push_back(slot.vector);
-  PLFOC_REQUIRE(!candidates.empty(),
-                "all RAM slots are pinned; the store needs more slots than "
-                "concurrently held leases");
-
+  for (std::uint32_t s = 0; s < slots_.size(); ++s)
+    if (slots_[s].vector != kNoVector && slots_[s].pins == 0 &&
+        free_to_take(s))
+      candidates.push_back(slots_[s].vector);
+  if (candidates.empty()) return kNoSlot;
   const std::uint32_t victim = strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, index);
+      {candidates.data(), candidates.size()}, incoming);
   const std::uint32_t slot = vector_slot_[victim];
   PLFOC_CHECK(slot != kNoSlot);
+  return slot;
+}
 
-  // The paper's implementation always writes the victim back; dirty tracking
-  // (write_back_clean = false) is an ablation extension.
+bool OutOfCoreStore::begin_evict(std::uint32_t slot) {
   const bool write_back = options_.write_back_clean || slots_[slot].dirty;
-  // The auditor must see the victim's pin count and shadow dirty bit before
-  // the store's own pin assertion and before the write-back clears the shadow
-  // state — otherwise it only re-checks values the store already validated.
-  PLFOC_AUDIT_EVENT("evict", auditor_.record_evict(victim, slots_[slot].pins,
-                                                   write_back));
-  PLFOC_CHECK(slots_[slot].vector == victim && slots_[slot].pins == 0);
+  // The auditor sees the victim's pin count and shadow dirty bit before the
+  // write-back is even submitted, so it checks the choice independently.
+  PLFOC_AUDIT_EVENT("evict",
+                    auditor_.record_evict(slots_[slot].vector,
+                                          slots_[slot].pins, write_back));
+  PLFOC_CHECK(slots_[slot].pins == 0);
+  return write_back;
+}
 
-  if (write_back) file_write(victim, slot_data(slot));
+void OutOfCoreStore::finish_evict(std::uint32_t slot, bool written) {
+  const std::uint32_t victim = slots_[slot].vector;
+  if (written) count_write(victim);
   ++stats_locked().evictions;
   if (prefetched_unread_[victim]) {
     prefetched_unread_[victim] = false;
@@ -174,119 +177,59 @@ std::uint32_t OutOfCoreStore::obtain_slot(std::uint32_t index) {
   vector_slot_[victim] = kNoSlot;
   slots_[slot].vector = kNoVector;
   slots_[slot].dirty = false;
-  return slot;
 }
 
-// The async-engine miss path: the victim write-back and the demand read are
-// one engine batch, so the device (or the modeled latency) overlaps them
-// instead of serialising write-then-read. All slot-table bookkeeping happens
-// at completion in the sequential path's order, so stats, audit events and
-// failure states are indistinguishable from obtain_slot + file_read.
-std::uint32_t OutOfCoreStore::swap_in_overlapped(std::uint32_t index,
-                                                 bool verify,
-                                                 VerifyResult* out_verify) {
-  // A free slot (or a dropped clean victim) leaves nothing to overlap.
-  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-    if (slots_[s].vector != kNoVector) continue;
-    *out_verify = file_read(index, slot_data(s), verify);
-    return s;
-  }
-
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(slots_.size());
-  for (const Slot& slot : slots_)
-    if (slot.pins == 0) candidates.push_back(slot.vector);
-  PLFOC_REQUIRE(!candidates.empty(),
+// The one miss path (the paper's swap, Sec. 3.2): take a free slot or the
+// replacement strategy's victim, then move the bytes as ONE engine batch —
+// the victim's write-back (the paper always writes it back; dirty tracking
+// is the write_back_clean = false ablation) and the demand read, unless read
+// skipping elides it. The read lands in the spare buffer, which rotates into
+// the slot only once the batch succeeded: a failed write-back leaves the
+// victim resident with its bytes untouched, and the batch needs no copy of
+// them. All bookkeeping runs at completion, write-back first.
+std::uint32_t OutOfCoreStore::swap_in(std::uint32_t index, bool need_read,
+                                      bool verify, VerifyResult* out_verify) {
+  const std::uint32_t slot = pick_slot(index, {});
+  PLFOC_REQUIRE(slot != kNoSlot,
                 "all RAM slots are pinned; the store needs more slots than "
                 "concurrently held leases");
-  const std::uint32_t victim = strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, index);
-  const std::uint32_t slot = vector_slot_[victim];
-  PLFOC_CHECK(slot != kNoSlot);
-  const bool write_back = options_.write_back_clean || slots_[slot].dirty;
-  PLFOC_AUDIT_EVENT("evict", auditor_.record_evict(victim, slots_[slot].pins,
-                                                   write_back));
-  PLFOC_CHECK(slots_[slot].vector == victim && slots_[slot].pins == 0);
+  const bool has_victim = slots_[slot].vector != kNoVector;
+  const bool write_back = has_victim && begin_evict(slot);
 
-  if (!write_back) {
-    ++stats_locked().evictions;
-    if (prefetched_unread_[victim]) {
-      prefetched_unread_[victim] = false;
-      ++stats_locked().prefetch_wasted;
-    }
-    strategy_->on_evict(victim);
-    vector_slot_[victim] = kNoSlot;
-    slots_[slot].vector = kNoVector;
-    slots_[slot].dirty = false;
-    *out_verify = file_read(index, slot_data(slot), verify);
-    return slot;
-  }
-
-  // The write-back sources a scratch copy: the demand read is about to reuse
-  // the victim's slot buffer while the write is still in flight, and the
-  // copy doubles as the undo image if the write-back fails.
-  evict_scratch_.assign(slot_data(slot), slot_data(slot) + width_);
-  const bool single = options_.disk_precision == DiskPrecision::kSingle;
   FileBackend::VectorOp ops[2];
-  ops[0].is_write = true;
-  ops[0].index = victim;
-  if (single) {
-    for (std::size_t i = 0; i < width_; ++i)
-      float_scratch_[i] = static_cast<float>(evict_scratch_[i]);
-    ops[0].buffer = float_scratch_.data();
-  } else {
-    ops[0].buffer = evict_scratch_.data();
+  std::size_t n = 0;
+  if (write_back) {
+    ops[n].is_write = true;
+    ops[n].index = slots_[slot].vector;
+    ops[n].buffer = disk_image(slot, float_scratch_, 0);
+    ++n;
   }
-  ops[1].is_write = false;
-  ops[1].index = index;
-  ops[1].verify = verify && file_.integrity();
-  if (single) {
-    if (swap_float_scratch_.size() != width_)
-      swap_float_scratch_.resize(width_);
-    ops[1].buffer = swap_float_scratch_.data();
-  } else {
-    ops[1].buffer = slot_data(slot);
+  FileBackend::VectorOp* read = nullptr;
+  if (need_read) {
+    read = &ops[n++];
+    read->index = index;
+    read->verify = verify && file_.integrity();
+    read->buffer = options_.disk_precision == DiskPrecision::kDouble
+                       ? static_cast<void*>(spare_)
+                       : static_cast<void*>(float_scratch_.data() + width_);
   }
-  file_.submit_vector_ops(ops, 2);
-  refresh_fault_counters();
+  if (n > 0) {
+    file_.submit_vector_ops(ops, n);
+    refresh_fault_counters();
+  }
 
-  // Write-back outcome first — it precedes the read in the sequential order.
-  if (!ops[0].ok()) {
-    // file_write would have thrown with the victim still fully installed:
-    // restore the slot content (the concurrent read may have clobbered it)
-    // and leave every table and counter untouched.
-    std::copy(evict_scratch_.begin(), evict_scratch_.end(), slot_data(slot));
-    throw IoError("pwrite", ops[0].error, ops[0].fail_offset, ops[0].attempts,
-                  ops[0].injected);
+  if (write_back) FileBackend::throw_if_failed(ops[0]);
+  if (has_victim) finish_evict(slot, write_back);
+  if (read != nullptr) {
+    FileBackend::throw_if_failed(*read);  // the slot stays free
+    if (options_.disk_precision == DiskPrecision::kDouble)
+      std::swap(slot_buffer_[slot], spare_);
+    else
+      load_image(slot_data(slot), read->buffer);
+    ++stats_locked().file_reads;
+    stats_locked().bytes_read += file_.bytes_per_vector();
+    *out_verify = read->verify_result;
   }
-  ++stats_locked().file_writes;
-  stats_locked().bytes_written += file_.bytes_per_vector();
-  ++file_generation_[victim];
-  PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(victim));
-  ++stats_locked().evictions;
-  if (prefetched_unread_[victim]) {
-    prefetched_unread_[victim] = false;
-    ++stats_locked().prefetch_wasted;
-  }
-  strategy_->on_evict(victim);
-  vector_slot_[victim] = kNoSlot;
-  slots_[slot].vector = kNoVector;
-  slots_[slot].dirty = false;
-
-  if (!ops[1].ok()) {
-    // Sequential equivalent: file_read threw after the eviction completed —
-    // the slot stays free, file_reads/bytes_read untouched.
-    throw IoError("pread", ops[1].error, ops[1].fail_offset, ops[1].attempts,
-                  ops[1].injected);
-  }
-  if (single) {
-    double* dst = slot_data(slot);
-    for (std::size_t i = 0; i < width_; ++i)
-      dst[i] = static_cast<double>(swap_float_scratch_[i]);
-  }
-  ++stats_locked().file_reads;
-  stats_locked().bytes_read += file_.bytes_per_vector();
-  *out_verify = ops[1].verify_result;
   return slot;
 }
 
@@ -295,35 +238,32 @@ double* OutOfCoreStore::do_acquire(std::uint32_t index, AccessMode mode) {
   // MutexLock (not a plain guard): a failed verification releases the lock
   // around the recovery hook, whose child acquires re-enter this method.
   MutexLock lock(mutex_);
-  ++stats_locked().accesses;
-
   std::uint32_t slot = vector_slot_[index];
   [[maybe_unused]] bool read_skipped = false;  // only consumed by audit hooks
   VerifyResult verify;  // stays kOk unless a verified swap-in failed
   if (slot != kNoSlot) {
     ++stats_locked().hits;
   } else {
-    ++stats_locked().misses;
-    if (!touched_[index]) ++stats_locked().cold_misses;
     // Swap the requested vector in — unless this access overwrites it anyway
     // and read skipping applies (Sec. 3.4). First-ever accesses never have
     // meaningful file contents either way (the file is zero-preallocated).
     const bool need_read = mode == AccessMode::kRead || !options_.read_skipping;
-    if (need_read && file_.async_io()) {
-      slot = swap_in_overlapped(index, mode == AccessMode::kRead, &verify);
-    } else {
-      slot = obtain_slot(index);
-      if (need_read) {
-        verify = file_read(index, slot_data(slot), mode == AccessMode::kRead);
-      } else {
-        ++stats_locked().skipped_reads;
-        read_skipped = true;
-      }
+    // Only kRead misses verify: a paper-mode write-miss read loads bytes that
+    // are about to be overwritten, so damage there is never consumed.
+    slot = swap_in(index, need_read, mode == AccessMode::kRead, &verify);
+    // Counted once the swap landed: a throwing miss leaves every store
+    // counter as it was (only the backend's I/O counters saw the attempt).
+    ++stats_locked().misses;
+    if (!touched_[index]) ++stats_locked().cold_misses;
+    if (!need_read) {
+      ++stats_locked().skipped_reads;
+      read_skipped = true;
     }
     vector_slot_[index] = slot;
     slots_[slot].vector = index;
     strategy_->on_load(index);
   }
+  ++stats_locked().accesses;
   touched_[index] = true;
   // The kernel is consuming this vector: whatever prefetch staged it was
   // useful, so it can no longer count as wasted.
@@ -412,121 +352,22 @@ void OutOfCoreStore::do_release(std::uint32_t index) {
   PLFOC_AUDIT_TABLE("release");
 }
 
-void OutOfCoreStore::prefetch(std::uint32_t index) {
-  PLFOC_CHECK(index < count_);
-  // Cancellation is advisory here: this runs on the Prefetcher's worker
-  // thread, where a throw would terminate the process. Returning early is
-  // enough — the demand path's acquire() throws the typed error.
-  if (cancel_.cancelled_or_expired()) return;
-  // Serialises prefetch() callers and owns the staging buffers. mutex_ is
-  // only taken in short sections below, so a demand miss on the engine
-  // thread never waits behind this call's disk read.
-  MutexLock io_lock(prefetch_io_mutex_);
-
-  std::uint64_t generation;
-  {
-    MutexLock lock(mutex_);
-    if (vector_slot_[index] != kNoSlot) return;  // already resident
-    // Never prefetch a vector that has not been written yet: the file holds
-    // no meaningful bytes for it, and the first real access is write-mode.
-    if (!touched_[index]) return;
-    generation = file_generation_[index];
-  }
-
-  // Stage the read WITHOUT the slot-table lock. Prefetching is advisory: a
-  // transfer whose retry budget is exhausted must not propagate IoError onto
-  // the prefetch worker thread (which would call std::terminate). The demand
-  // access either succeeds on retry or fails on the engine thread, where it
-  // is catchable.
-  if (prefetch_scratch_.size() != width_) prefetch_scratch_.resize(width_);
-  // Prefetch never recovers: recovery needs the engine (and may deadlock on
-  // engine-owned scratch). A verification failure here just drops the staged
-  // read — the demand access re-verifies under the slot-table lock, on the
-  // engine thread, where the recovery hook is callable and IntegrityError is
-  // catchable. This also absorbs the benign race where a concurrent
-  // write-back tears the checksum mirror read (a spurious mismatch).
-  bool verify_failed = false;
-  try {
-    if (options_.disk_precision == DiskPrecision::kDouble) {
-      verify_failed =
-          file_.integrity()
-              ? !file_.read_vector_verified(index, prefetch_scratch_.data())
-                     .ok()
-              : (file_.read_vector(index, prefetch_scratch_.data()), false);
-    } else {
-      if (prefetch_float_scratch_.size() != width_)
-        prefetch_float_scratch_.resize(width_);
-      verify_failed =
-          file_.integrity()
-              ? !file_
-                     .read_vector_verified(index,
-                                           prefetch_float_scratch_.data())
-                     .ok()
-              : (file_.read_vector(index, prefetch_float_scratch_.data()),
-                 false);
-      for (std::size_t i = 0; i < width_; ++i)
-        prefetch_scratch_[i] = static_cast<double>(prefetch_float_scratch_[i]);
-    }
-  } catch (const IoError&) {
-    MutexLock lock(mutex_);
-    refresh_fault_counters();
-    PLFOC_AUDIT_TABLE("prefetch io-error");
-    return;
-  }
-  if (verify_failed) {
-    MutexLock lock(mutex_);
-    stats_locked().bytes_read += file_.bytes_per_vector();
-    ++stats_locked().prefetch_stale;
-    refresh_fault_counters();
-    PLFOC_AUDIT_TABLE("prefetch integrity drop");
-    return;
-  }
-
-  MutexLock lock(mutex_);
-  stats_locked().bytes_read += file_.bytes_per_vector();
-  refresh_fault_counters();
-  // Re-validate before installing: the vector may have been demand-loaded
-  // while the read was in flight (drop — it is already resident), or loaded,
-  // dirtied and evicted again, making the staged bytes stale (drop — the
-  // file's newer contents win on the next access).
-  if (vector_slot_[index] != kNoSlot || file_generation_[index] != generation) {
-    ++stats_locked().prefetch_stale;
-    PLFOC_AUDIT_TABLE("prefetch stale");
-    return;
-  }
-  std::uint32_t slot;
-  try {
-    slot = obtain_slot(index);
-  } catch (const Error&) {
-    return;  // everything pinned; skip this prefetch
-  }
-  std::copy(prefetch_scratch_.begin(), prefetch_scratch_.end(),
-            slot_data(slot));
-  ++stats_locked().prefetch_reads;
-  vector_slot_[index] = slot;
-  slots_[slot].vector = index;
-  strategy_->on_load(index);
-  strategy_->on_prefetch_install(index);
-  prefetched_unread_[index] = true;
-  PLFOC_AUDIT_TABLE("prefetch");
-}
-
-// Batched prefetch (async engines): one engine batch carries every staged
-// read — vectors adjacent in the file coalesce into ranged transfers inside
-// submit_vector_ops — and the install pass replays prefetch()'s
-// re-validation per index. Per-op failures are advisory exactly like the
-// sequential path: an exhausted transfer refreshes counters and moves on, a
-// verification failure or a raced install counts prefetch_stale.
+// Stage up to `count` reads as ONE engine batch — vectors adjacent in the
+// file coalesce into ranged transfers inside submit_vector_ops — WITHOUT the
+// slot-table lock, so a demand miss on the engine thread never waits behind
+// prefetch I/O; then install whatever survives re-validation under the
+// lock. Prefetching is advisory: per-op failures are recorded, never thrown
+// (this runs on the Prefetcher's worker thread, where a throw would
+// terminate the process) — the demand access retries on the engine thread,
+// catchably.
 void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
                                     std::size_t count) {
   if (count == 0) return;
-  // Advisory, like prefetch(): never throw on the prefetch worker thread.
+  // Advisory cancellation: returning early is enough — the demand path's
+  // acquire() throws the typed error.
   if (cancel_.cancelled_or_expired()) return;
-  if (!file_.async_io()) {
-    // Sync engine: the historical one-vector-per-call path, byte for byte.
-    for (std::size_t i = 0; i < count; ++i) prefetch(indices[i]);
-    return;
-  }
+  // Serialises prefetch callers and owns the staging buffers. mutex_ is only
+  // taken in short sections below.
   MutexLock io_lock(prefetch_io_mutex_);
 
   struct Item {
@@ -541,7 +382,10 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
       const std::uint32_t index = indices[i];
       PLFOC_CHECK(index < count_);
       if (vector_slot_[index] != kNoSlot) continue;  // already resident
-      if (!touched_[index]) continue;  // never written: nothing to stage
+      // Never prefetch a vector that has not been written yet: the file
+      // holds no meaningful bytes for it, and the first real access is
+      // write-mode.
+      if (!touched_[index]) continue;
       bool duplicate = false;  // a repeated plan entry stages one read
       for (const Item& item : items)
         if (item.index == index) { duplicate = true; break; }
@@ -552,73 +396,69 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
 
   const bool single = options_.disk_precision == DiskPrecision::kSingle;
   const std::size_t n = items.size();
-  if (single) {
-    if (prefetch_float_scratch_.size() < n * width_)
-      prefetch_float_scratch_.resize(n * width_);
-  } else {
-    if (prefetch_scratch_.size() < n * width_)
-      prefetch_scratch_.resize(n * width_);
-  }
+  const std::size_t image_bytes = file_.bytes_per_vector();
+  if (prefetch_scratch_.size() < n * image_bytes)
+    prefetch_scratch_.resize(n * image_bytes);
   std::vector<FileBackend::VectorOp> ops(n);
   for (std::size_t k = 0; k < n; ++k) {
-    ops[k].is_write = false;
     ops[k].index = items[k].index;
+    // Prefetch never recovers: a verification failure just drops the
+    // staged read, and the demand access re-verifies under the slot-table
+    // lock, where the recovery hook is callable and IntegrityError is
+    // catchable. This also absorbs the benign race where a concurrent
+    // write-back tears the checksum mirror read (a spurious mismatch).
     ops[k].verify = file_.integrity();
-    ops[k].buffer = single
-                        ? static_cast<void*>(prefetch_float_scratch_.data() +
-                                             k * width_)
-                        : static_cast<void*>(prefetch_scratch_.data() +
-                                             k * width_);
+    ops[k].buffer = prefetch_scratch_.data() + k * image_bytes;
   }
   // Between-AIO-batch cancellation point: nothing has been submitted or
   // installed yet, only private scratch staged, so bailing out here leaves
   // the store untouched — the "within one AIO batch" granularity bound.
   if (cancel_.cancelled_or_expired()) return;
-  // Records per-op failures instead of throwing — prefetch stays advisory.
   file_.submit_vector_ops(ops.data(), n);
 
   MutexLock lock(mutex_);
   refresh_fault_counters();
 
   // Install in three passes so the victim write-backs form ONE engine batch
-  // (adjacent victims merge into ranged writes inside submit_vector_ops)
-  // instead of a synchronous file_write per eviction:
+  // (adjacent victims merge into ranged writes inside submit_vector_ops):
   //
   //   A. re-validate each staged read and claim a slot for the survivors —
   //      free slots first, then strategy-chosen victims. Slots claimed (and
-  //      victims chosen) earlier in the batch are excluded, mirroring the
-  //      state the sequential per-install path would see after each install;
-  //      vectors installed by this batch are never victim candidates within
-  //      it (they are exactly the lookahead the batch exists to protect).
+  //      victims chosen) earlier in the batch are excluded; vectors
+  //      installed by this batch are never victim candidates within it
+  //      (they are exactly the lookahead the batch exists to protect).
   //   B. submit every victim write-back as one batch.
   //   C. per surviving install, in op order: fold the write-back outcome (a
-  //      failed write keeps its victim resident and skips the install, the
-  //      state the sequential path leaves when file_write throws), then
+  //      failed write keeps its victim resident and skips the install), then
   //      evict, install, and age the vector in via on_prefetch_install.
   struct Pending {
-    std::size_t k = 0;                  ///< ops[k] / items[k]
+    std::size_t k = 0;  ///< ops[k] / items[k]
     std::uint32_t slot = kNoSlot;
-    std::uint32_t victim = kNoVector;   ///< kNoVector: free slot, no evict
+    bool has_victim = false;
     bool write_back = false;
-    std::size_t wop = 0;                ///< index into wops when write_back
+    std::size_t wop = 0;  ///< index into wops when write_back
   };
   std::vector<Pending> pending;
   pending.reserve(n);
   std::vector<bool> slot_claimed(slots_.size(), false);
 
   for (std::size_t k = 0; k < n; ++k) {
-    FileBackend::VectorOp& op = ops[k];
+    const FileBackend::VectorOp& op = ops[k];
     const std::uint32_t index = items[k].index;
     if (!op.ok()) {
       PLFOC_AUDIT_TABLE("prefetch io-error");
-      continue;  // demand access retries on the engine thread, catchably
+      continue;
     }
-    stats_locked().bytes_read += file_.bytes_per_vector();
-    if (op.verify && !op.verify_result.ok()) {
+    stats_locked().bytes_read += image_bytes;
+    if (!op.verify_result.ok()) {
       ++stats_locked().prefetch_stale;
       PLFOC_AUDIT_TABLE("prefetch integrity drop");
       continue;
     }
+    // The vector may have been demand-loaded while the read was in flight
+    // (drop — it is already resident), or loaded, dirtied and evicted again,
+    // making the staged bytes stale (drop — the file's newer contents win
+    // on the next access).
     if (vector_slot_[index] != kNoSlot ||
         file_generation_[index] != items[k].generation) {
       ++stats_locked().prefetch_stale;
@@ -627,63 +467,32 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
     }
     Pending p;
     p.k = k;
-    for (std::uint32_t s = 0; s < slots_.size(); ++s)
-      if (slots_[s].vector == kNoVector && !slot_claimed[s]) {
-        p.slot = s;
-        break;
-      }
-    if (p.slot == kNoSlot) {
-      std::vector<std::uint32_t> candidates;
-      candidates.reserve(slots_.size());
-      for (std::uint32_t s = 0; s < slots_.size(); ++s)
-        if (slots_[s].pins == 0 && !slot_claimed[s] &&
-            slots_[s].vector != kNoVector)
-          candidates.push_back(slots_[s].vector);
-      if (candidates.empty()) continue;  // everything pinned/claimed: skip
-      p.victim = strategy_->choose_victim(
-          {candidates.data(), candidates.size()}, index);
-      p.slot = vector_slot_[p.victim];
-      PLFOC_CHECK(p.slot != kNoSlot);
-      p.write_back = options_.write_back_clean || slots_[p.slot].dirty;
-      PLFOC_AUDIT_EVENT("evict",
-                        auditor_.record_evict(p.victim, slots_[p.slot].pins,
-                                              p.write_back));
-      PLFOC_CHECK(slots_[p.slot].vector == p.victim &&
-                  slots_[p.slot].pins == 0);
-    }
+    p.slot = pick_slot(index, slot_claimed);
+    if (p.slot == kNoSlot) continue;  // everything pinned or claimed: skip
+    p.has_victim = slots_[p.slot].vector != kNoVector;
+    p.write_back = p.has_victim && begin_evict(p.slot);
     slot_claimed[p.slot] = true;
     pending.push_back(p);
   }
 
-  // B: the eviction-write batch. Victims source their slot buffers directly
-  // (stable under mutex_; the staged read data only lands in pass C).
+  // B: the eviction-write batch. Victims source their slot buffers (or
+  // their float images) directly: stable under mutex_, and the staged read
+  // data only lands in pass C.
   std::vector<FileBackend::VectorOp> wops;
-  std::vector<float> wfloat;  // kSingle conversion staging, one span per wop
+  std::vector<float> wfloat;
   for (Pending& p : pending) {
-    if (p.victim == kNoVector || !p.write_back) continue;
+    if (!p.write_back) continue;
     p.wop = wops.size();
     FileBackend::VectorOp wop;
     wop.is_write = true;
-    wop.index = p.victim;
+    wop.index = slots_[p.slot].vector;
     wops.push_back(wop);
   }
   if (!wops.empty()) {
-    if (single) {
-      wfloat.resize(wops.size() * width_);
-      std::size_t w = 0;
-      for (const Pending& p : pending) {
-        if (p.victim == kNoVector || !p.write_back) continue;
-        const double* src = slot_data(p.slot);
-        for (std::size_t i = 0; i < width_; ++i)
-          wfloat[w * width_ + i] = static_cast<float>(src[i]);
-        wops[w].buffer = wfloat.data() + w * width_;
-        ++w;
-      }
-    } else {
-      for (const Pending& p : pending)
-        if (p.victim != kNoVector && p.write_back)
-          wops[p.wop].buffer = slot_data(p.slot);
-    }
+    if (single) wfloat.resize(wops.size() * width_);
+    for (const Pending& p : pending)
+      if (p.write_back)
+        wops[p.wop].buffer = disk_image(p.slot, wfloat, p.wop);
     file_.submit_vector_ops(wops.data(), wops.size());
     refresh_fault_counters();
   }
@@ -691,34 +500,9 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   // C: fold outcomes and install, in op order.
   for (const Pending& p : pending) {
     const std::uint32_t index = items[p.k].index;
-    if (p.victim != kNoVector) {
-      if (p.write_back) {
-        const FileBackend::VectorOp& wop = wops[p.wop];
-        if (!wop.ok()) continue;  // victim stays resident; skip the install
-        ++stats_locked().file_writes;
-        stats_locked().bytes_written += file_.bytes_per_vector();
-        ++file_generation_[p.victim];
-        PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(p.victim));
-      }
-      ++stats_locked().evictions;
-      if (prefetched_unread_[p.victim]) {
-        prefetched_unread_[p.victim] = false;
-        ++stats_locked().prefetch_wasted;
-      }
-      strategy_->on_evict(p.victim);
-      vector_slot_[p.victim] = kNoSlot;
-      slots_[p.slot].vector = kNoVector;
-      slots_[p.slot].dirty = false;
-    }
-    double* dst = slot_data(p.slot);
-    if (single) {
-      const float* src = prefetch_float_scratch_.data() + p.k * width_;
-      for (std::size_t i = 0; i < width_; ++i)
-        dst[i] = static_cast<double>(src[i]);
-    } else {
-      const double* src = prefetch_scratch_.data() + p.k * width_;
-      std::copy(src, src + width_, dst);
-    }
+    if (p.write_back && !wops[p.wop].ok()) continue;  // victim stays
+    if (p.has_victim) finish_evict(p.slot, p.write_back);
+    load_image(slot_data(p.slot), ops[p.k].buffer);
     ++stats_locked().prefetch_reads;
     vector_slot_[index] = p.slot;
     slots_[p.slot].vector = index;
@@ -729,63 +513,41 @@ void OutOfCoreStore::prefetch_batch(const std::uint32_t* indices,
   }
 }
 
+// Write every dirty slot as ONE batch, ordered by vector index so
+// file-adjacent vectors sit next to each other and merge into ranged writes.
+// Bookkeeping in op order; a failed slot stays dirty (a later flush or
+// eviction retries it) and the first failure is thrown once every other
+// dirty slot has been written.
 void OutOfCoreStore::flush() {
   MutexLock lock(mutex_);
-  if (!file_.async_io()) {
-    for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-      if (slots_[s].vector == kNoVector || !slots_[s].dirty) continue;
-      file_write(slots_[s].vector, slot_data(s));
-      slots_[s].dirty = false;
-    }
-    file_.sync();
-    PLFOC_AUDIT_TABLE("flush");
-    return;
-  }
-  // Async engines: write every dirty slot as ONE batch, ordered by vector
-  // index so file-adjacent vectors sit next to each other and merge into
-  // ranged writes. Bookkeeping in op order; the first failure is thrown
-  // after the whole batch is folded (failed slots stay dirty), where the
-  // sequential path stops at the first failing slot.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> dirty;  // {vector, slot}
   for (std::uint32_t s = 0; s < slots_.size(); ++s)
     if (slots_[s].vector != kNoVector && slots_[s].dirty)
       dirty.push_back({slots_[s].vector, s});
   std::sort(dirty.begin(), dirty.end());
-  const bool single = options_.disk_precision == DiskPrecision::kSingle;
   std::vector<FileBackend::VectorOp> ops(dirty.size());
-  std::vector<float> wfloat(single ? dirty.size() * width_ : 0);
+  std::vector<float> wfloat(
+      options_.disk_precision == DiskPrecision::kSingle ? dirty.size() * width_
+                                                        : 0);
   for (std::size_t k = 0; k < dirty.size(); ++k) {
     ops[k].is_write = true;
     ops[k].index = dirty[k].first;
-    if (single) {
-      const double* src = slot_data(dirty[k].second);
-      for (std::size_t i = 0; i < width_; ++i)
-        wfloat[k * width_ + i] = static_cast<float>(src[i]);
-      ops[k].buffer = wfloat.data() + k * width_;
-    } else {
-      ops[k].buffer = slot_data(dirty[k].second);
-    }
+    ops[k].buffer = disk_image(dirty[k].second, wfloat, k);
   }
-  if (!ops.empty()) file_.submit_vector_ops(ops.data(), ops.size());
+  file_.submit_vector_ops(ops.data(), ops.size());
   refresh_fault_counters();
   const FileBackend::VectorOp* failed = nullptr;
   for (std::size_t k = 0; k < dirty.size(); ++k) {
-    const FileBackend::VectorOp& op = ops[k];
-    if (!op.ok()) {
-      if (failed == nullptr) failed = &op;
-      continue;  // stays dirty; a later flush (or eviction) retries
+    if (!ops[k].ok()) {
+      if (failed == nullptr) failed = &ops[k];
+      continue;
     }
-    ++stats_locked().file_writes;
-    stats_locked().bytes_written += file_.bytes_per_vector();
-    ++file_generation_[op.index];
-    PLFOC_AUDIT_EVENT("file write", auditor_.record_file_write(op.index));
+    count_write(ops[k].index);
     slots_[dirty[k].second].dirty = false;
   }
   file_.sync();
   PLFOC_AUDIT_TABLE("flush");
-  if (failed != nullptr)
-    throw IoError("pwrite", failed->error, failed->fail_offset,
-                  failed->attempts, failed->injected);
+  if (failed != nullptr) FileBackend::throw_if_failed(*failed);
 }
 
 OocStats OutOfCoreStore::stats_snapshot() const {

@@ -6,7 +6,9 @@
 // An acquire of a non-resident vector selects a victim slot through the
 // configured replacement strategy (pinned slots excluded), swaps the victim
 // out to the file, and the requested vector in — unless the access is
-// write-only and read skipping elides the swap-in read.
+// write-only and read skipping elides the swap-in read. Every transfer —
+// demand miss, prefetch, flush — is a FileBackend::submit_vector_ops batch,
+// whatever the I/O engine: there is one miss path and one flush.
 //
 // Thread safety: all slot-table mutations are guarded by one mutex so the
 // optional prefetch thread (ooc/prefetch.hpp) can swap vectors in while the
@@ -70,29 +72,26 @@ class OutOfCoreStore final : public AncestralStore {
   /// True if the vector is currently in a RAM slot.
   bool is_resident(std::uint32_t index) const;
 
-  /// Bring `index` into RAM (read mode) without pinning it; used by the
-  /// prefetch thread. No-op if resident; never evicts a pinned vector.
-  /// Counted in stats().prefetch_reads, not as an access. The disk read is
-  /// staged into a prefetch-private buffer OUTSIDE mutex_, so a concurrent
-  /// demand miss on the engine thread never stalls behind prefetch I/O; the
-  /// slot install re-validates residency and the vector's file generation
-  /// under the lock (a raced install is dropped and counted in
-  /// stats().prefetch_stale).
-  void prefetch(std::uint32_t index);
+  /// Bring `index` into RAM (read mode) without pinning it: a one-index
+  /// prefetch_batch. No-op if resident; never evicts a pinned vector.
+  void prefetch(std::uint32_t index) { prefetch_batch(&index, 1); }
 
-  /// Batched prefetch: stage up to `count` queued reads as ONE engine batch
-  /// (adjacent vectors coalesce into ranged transfers) and install whatever
-  /// survives the same re-validation as prefetch(). With the sync engine
-  /// this degrades to per-index prefetch() semantics, byte for byte.
+  /// Advisory prefetch, used by the prefetch thread: stage up to `count`
+  /// reads as ONE engine batch outside the slot-table lock (adjacent vectors
+  /// coalesce into ranged transfers), then install whatever survives
+  /// re-validation of residency and the vector's file generation under the
+  /// lock. Installs are counted in stats().prefetch_reads, not as accesses;
+  /// raced installs are dropped and counted in stats().prefetch_stale.
+  /// Never throws an I/O error.
   void prefetch_batch(const std::uint32_t* indices, std::size_t count);
 
   /// How many queued reads a prefetch_batch caller should aim to hand over
-  /// at once: the engine queue depth for async engines, 1 for sync.
-  std::size_t prefetch_batch_limit() const {
-    return file_.async_io() ? file_.io_depth() : 1;
-  }
+  /// at once: the engine's queue depth (1 for sync).
+  std::size_t prefetch_batch_limit() const { return file_.io_depth(); }
 
-  /// Write all resident vectors back to the file (e.g. before checkpointing).
+  /// Write every dirty slot back to the file as one batch (e.g. before
+  /// checkpointing). A failed slot stays dirty; the first failure is thrown
+  /// after the other slots were written.
   void flush() override;
 
   /// Counters are mutated under mutex_ (including by the prefetch thread),
@@ -136,33 +135,38 @@ class OutOfCoreStore final : public AncestralStore {
   // invariant auditor can validate the table without friending into here.
   using Slot = OocSlot;
 
-  /// Lease data pointers derive from the ctor-immutable arena; the *content*
-  /// they address is protected by pins + the slot table, not by mutex_, so
-  /// this accessor carries no capability requirement.
-  double* slot_data(std::uint32_t slot) {
-    return arena_.data() + static_cast<std::size_t>(slot) * width_;
+  /// Slot buffers rotate with the spare on every swap-in read, so the
+  /// address lives in the slot table. A pinned slot never rotates: lease
+  /// data pointers stay valid until release.
+  double* slot_data(std::uint32_t slot) PLFOC_REQUIRES(mutex_) {
+    return slot_buffer_[slot];
   }
-  /// Pick (evicting if needed) a slot for `index`.
-  std::uint32_t obtain_slot(std::uint32_t index) PLFOC_REQUIRES(mutex_);
-  /// Async-engine demand-miss path: pick the slot AND perform the swap, with
-  /// the victim write-back (staged from a scratch copy) and the demand read
-  /// (into the freed slot) in flight together. On a write-back failure the
-  /// victim is restored and stays resident — the exact state the sequential
-  /// obtain_slot leaves when file_write throws. `verify` carries
-  /// read_vector_verified semantics; the result lands in *out_verify.
-  std::uint32_t swap_in_overlapped(std::uint32_t index, bool verify,
-                                   VerifyResult* out_verify)
+  /// The slot the next install of `incoming` goes to: a free slot, else the
+  /// strategy's victim among unpinned slots. Slots marked in `claimed` (may
+  /// be empty) are skipped. kNoSlot when nothing is left.
+  std::uint32_t pick_slot(std::uint32_t incoming,
+                          const std::vector<bool>& claimed)
       PLFOC_REQUIRES(mutex_);
-  /// Vector-level file transfer honouring disk_precision.
-  /// `verify` (kRead-mode demand misses) checks the record against its
-  /// checksum; the returned result is kOk on unverified reads. Write-mode
-  /// paper-mode reads (read skipping off) load bytes that are about to be
-  /// overwritten, so a corrupt record there must not fail a run that never
-  /// consumes it — those reads stay unverified.
-  VerifyResult file_read(std::uint32_t index, double* dst, bool verify)
-      PLFOC_REQUIRES(mutex_);
-  void file_write(std::uint32_t index, const double* src)
-      PLFOC_REQUIRES(mutex_);
+  /// Start evicting `slot`'s occupant: returns whether it is written back.
+  bool begin_evict(std::uint32_t slot) PLFOC_REQUIRES(mutex_);
+  /// Retire `slot`'s occupant once its write-back (if `written`) landed.
+  void finish_evict(std::uint32_t slot, bool written) PLFOC_REQUIRES(mutex_);
+  /// Count one landed write-back of `index`.
+  void count_write(std::uint32_t index) PLFOC_REQUIRES(mutex_);
+  /// The miss path: pick a slot for `index` and, in one batch, write its
+  /// victim back and read `index` in (when `need_read`). `verify` checks
+  /// the read against its checksum; the result lands in *out_verify. On a
+  /// write-back failure nothing changes — the victim stays resident with
+  /// its bytes — and IoError is thrown; on a read failure the eviction has
+  /// completed and the slot stays free.
+  std::uint32_t swap_in(std::uint32_t index, bool need_read, bool verify,
+                        VerifyResult* out_verify) PLFOC_REQUIRES(mutex_);
+  /// The on-disk image of `slot`: the slot itself, or (kSingle) its float
+  /// conversion staged at element k * width of `staging`.
+  void* disk_image(std::uint32_t slot, std::vector<float>& staging,
+                   std::size_t k) PLFOC_REQUIRES(mutex_);
+  /// Widen an on-disk image into `dst`.
+  void load_image(double* dst, const void* image) const;
   /// A verified swap-in failed: try the recovery hook (released lock), then
   /// either mark the slot dirty (healed — the recomputed content supersedes
   /// the corrupt record) or undo the install and throw IntegrityError.
@@ -183,6 +187,7 @@ class OutOfCoreStore final : public AncestralStore {
   }
 
   OocStoreOptions options_;
+  /// slot_count_ + 1 vector buffers: one per slot plus the spare.
   AlignedBuffer arena_;
 #ifdef PLFOC_AUDIT
   /// Slot-table invariant oracle.
@@ -190,6 +195,11 @@ class OutOfCoreStore final : public AncestralStore {
 #endif
   std::vector<Slot> slots_ PLFOC_GUARDED_BY(mutex_);
   std::size_t slot_count_ = 0;  ///< slots_.size(); ctor-immutable
+  /// Per slot: its current buffer in arena_.
+  std::vector<double*> slot_buffer_ PLFOC_GUARDED_BY(mutex_);
+  /// The buffer no slot owns: swap-in reads land here and rotate into the
+  /// slot once the batch succeeded.
+  double* spare_ PLFOC_GUARDED_BY(mutex_) = nullptr;
   /// Per vector: slot or kNoSlot.
   std::vector<std::uint32_t> vector_slot_ PLFOC_GUARDED_BY(mutex_);
   /// Vector ever accessed (cold-miss tracking).
@@ -200,36 +210,25 @@ class OutOfCoreStore final : public AncestralStore {
   /// by reset_stats() (so prefetch_wasted <= prefetch_reads holds across a
   /// counter reset).
   std::vector<bool> prefetched_unread_ PLFOC_GUARDED_BY(mutex_);
-  /// Conversion buffer (kSingle only).
+  /// kSingle only: the miss path's float images, write-back in the first
+  /// width floats, demand read in the second.
   std::vector<float> float_scratch_ PLFOC_GUARDED_BY(mutex_);
-  /// Overlapped-swap staging (async engines only): the victim's content is
-  /// written back from this copy so the demand read can target the slot
-  /// buffer concurrently — and so a failed write-back can restore the victim
-  /// even after the read clobbered the slot.
-  std::vector<double> evict_scratch_ PLFOC_GUARDED_BY(mutex_);
-  /// kSingle overlapped swap: demand-read float staging (float_scratch_ is
-  /// busy carrying the victim's write-back conversion).
-  std::vector<float> swap_float_scratch_ PLFOC_GUARDED_BY(mutex_);
-  /// Per vector: bumped by every file_write (under mutex_). Lets prefetch()
-  /// detect that bytes it staged without the lock were superseded by a
-  /// write-back that happened during the read (the write-then-evict ABA the
-  /// residency check alone cannot see).
+  /// Per vector: bumped by every landed write-back (under mutex_). Lets
+  /// prefetch_batch() detect that bytes it staged without the lock were
+  /// superseded by a write-back that happened during the read (the
+  /// write-then-evict ABA the residency check alone cannot see).
   std::vector<std::uint64_t> file_generation_ PLFOC_GUARDED_BY(mutex_);
   FileBackend file_;  ///< internally synchronised (backend atomics)
   std::unique_ptr<ReplacementStrategy> strategy_ PLFOC_GUARDED_BY(mutex_);
   std::atomic<int> prefetch_guards_{0};  ///< live Prefetcher worker threads
   mutable Mutex mutex_;
 
-  // Prefetch staging state, private to prefetch() and guarded by
+  // Prefetch staging state, private to prefetch_batch() and guarded by
   // prefetch_io_mutex_ (lock order: prefetch_io_mutex_ before mutex_, never
   // the reverse — declared to the analysis via ACQUIRED_BEFORE).
-  // float_scratch_ is engine-owned (used by file_read / file_write under
-  // mutex_), hence the dedicated buffers here.
   Mutex prefetch_io_mutex_ PLFOC_ACQUIRED_BEFORE(mutex_);
-  std::vector<double> prefetch_scratch_ PLFOC_GUARDED_BY(prefetch_io_mutex_);
-  /// kSingle only.
-  std::vector<float> prefetch_float_scratch_
-      PLFOC_GUARDED_BY(prefetch_io_mutex_);
+  /// On-disk images of one prefetch batch, back to back.
+  std::vector<char> prefetch_scratch_ PLFOC_GUARDED_BY(prefetch_io_mutex_);
 };
 
 }  // namespace plfoc

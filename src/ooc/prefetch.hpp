@@ -13,10 +13,9 @@
 //
 // The worker hands the window over in *batches*: up to
 // store.prefetch_batch_limit() upcoming indices per wakeup go into one
-// OutOfCoreStore::prefetch_batch() call, which async I/O engines turn into a
-// single submission-queue batch (adjacent vectors coalesce into ranged
-// reads). With the sync engine the limit is 1 and behaviour is byte-for-byte
-// the historical per-index prefetch.
+// OutOfCoreStore::prefetch_batch() call: a single submission-queue batch
+// (adjacent vectors coalesce into ranged reads). The sync engine's depth is
+// 1, so it stages one index per batch.
 #pragma once
 
 #include <cstdint>

@@ -74,7 +74,7 @@ std::string OocStats::summary() const {
                   static_cast<unsigned long long>(recovery_recomputes));
     out += buffer;
   }
-  // Async-engine traffic: silent under the sync engine (all stay zero).
+  // Engine batches: silent for stores that moved no vector (in RAM, paged).
   if (io_batches != 0 || io_coalesced != 0 || io_write_coalesced != 0) {
     std::snprintf(buffer, sizeof(buffer),
                   " batches=%llu coalesced=%llu write_coalesced=%llu",

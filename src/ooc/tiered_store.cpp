@@ -47,26 +47,7 @@ TierStats TieredStore::tier_stats() const {
   return tier_stats_;
 }
 
-void TieredStore::demote(std::uint32_t slot) {
-  Slot& fast_slot = fast_[slot];
-  PLFOC_CHECK(fast_slot.vector != kNone && fast_slot.pins == 0);
-  const std::uint32_t vector = fast_slot.vector;
-  const std::uint32_t ram_slot = obtain_ram_slot(vector);
-  std::memcpy(ram_data(ram_slot), fast_data(slot), width_ * sizeof(double));
-  ++tier_stats_.demotions;
-  tier_stats_.bytes_transferred += width_ * sizeof(double);
-  ram_[ram_slot].vector = vector;
-  ram_[ram_slot].dirty = fast_slot.dirty;
-  ram_strategy_->on_load(vector);
-  ram_strategy_->on_access(vector);
-  where_[vector] = Location::kRam;
-  slot_of_[vector] = ram_slot;
-  fast_strategy_->on_evict(vector);
-  fast_slot.vector = kNone;
-  fast_slot.dirty = false;
-}
-
-std::uint32_t TieredStore::obtain_fast_slot(std::uint32_t incoming) {
+std::uint32_t TieredStore::pick_fast_slot(std::uint32_t incoming) {
   for (std::uint32_t s = 0; s < fast_.size(); ++s)
     if (fast_[s].vector == kNone) return s;
   std::vector<std::uint32_t> candidates;
@@ -78,12 +59,11 @@ std::uint32_t TieredStore::obtain_fast_slot(std::uint32_t incoming) {
   const std::uint32_t victim = fast_strategy_->choose_victim(
       {candidates.data(), candidates.size()}, incoming);
   const std::uint32_t slot = slot_of_[victim];
-  PLFOC_CHECK(fast_[slot].vector == victim);
-  demote(slot);
+  PLFOC_CHECK(fast_[slot].vector == victim && fast_[slot].pins == 0);
   return slot;
 }
 
-std::uint32_t TieredStore::obtain_ram_slot(std::uint32_t incoming) {
+std::uint32_t TieredStore::pick_ram_slot(std::uint32_t incoming) {
   for (std::uint32_t s = 0; s < ram_.size(); ++s)
     if (ram_[s].vector == kNone) return s;
   // RAM-tier occupants are never pinned (pins live at the fast tier), so any
@@ -95,10 +75,12 @@ std::uint32_t TieredStore::obtain_ram_slot(std::uint32_t incoming) {
       {candidates.data(), candidates.size()}, incoming);
   const std::uint32_t slot = slot_of_[victim];
   PLFOC_CHECK(ram_[slot].vector == victim);
-  // Spill to disk (the paper's slot manager always writes the victim back;
-  // we keep dirty tracking here since the tiers multiply traffic).
-  if (ram_[slot].dirty) {
-    file_.write_vector(victim, ram_data(slot));
+  return slot;
+}
+
+void TieredStore::drop_ram(std::uint32_t slot, bool spilled) {
+  const std::uint32_t victim = ram_[slot].vector;
+  if (spilled) {
     ++stats_locked().file_writes;
     stats_locked().bytes_written += width_ * sizeof(double);
   }
@@ -112,151 +94,80 @@ std::uint32_t TieredStore::obtain_ram_slot(std::uint32_t incoming) {
   slot_of_[victim] = kNone;
   ram_[slot].vector = kNone;
   ram_[slot].dirty = false;
-  return slot;
 }
 
-// Async-engine disk-miss path. The only real write in the fast-miss cascade
-// is the dirty RAM victim's spill; when it occurs, it and the demand read
-// become one engine batch so the device overlaps them. Every other shape of
-// the cascade (free slots, clean victims) is delegated to the sequential
-// helpers — crucially without pre-consulting the replacement strategies,
-// whose draws (Random consumes RNG state) must happen exactly once and in
-// the sequential order.
-std::uint32_t TieredStore::swap_in_overlapped(std::uint32_t index,
-                                              bool verified,
-                                              VerifyResult* out_verify) {
-  const auto read_into = [&](std::uint32_t fslot)
-                             PLFOC_REQUIRES(mutex_) {
-    if (verified)
-      *out_verify = file_.read_vector_verified(index, fast_data(fslot));
-    else
-      file_.read_vector(index, fast_data(fslot));
-    ++stats_locked().file_reads;
-    stats_locked().bytes_read += width_ * sizeof(double);
-  };
-
-  // A free fast slot leaves nothing to overlap.
-  for (std::uint32_t s = 0; s < fast_.size(); ++s) {
-    if (fast_[s].vector != kNone) continue;
-    read_into(s);
-    return s;
-  }
-
-  std::vector<std::uint32_t> candidates;
-  candidates.reserve(fast_.size());
-  for (const Slot& slot : fast_)
-    if (slot.pins == 0) candidates.push_back(slot.vector);
-  PLFOC_REQUIRE(!candidates.empty(),
-                "all fast-tier slots are pinned; increase fast_slots");
-  const std::uint32_t fast_victim = fast_strategy_->choose_victim(
-      {candidates.data(), candidates.size()}, index);
-  const std::uint32_t fslot = slot_of_[fast_victim];
-  PLFOC_CHECK(fast_[fslot].vector == fast_victim && fast_[fslot].pins == 0);
-
-  // A free RAM slot means the demotion spills nothing: pure sequential.
-  for (std::uint32_t s = 0; s < ram_.size(); ++s) {
-    if (ram_[s].vector != kNone) continue;
-    demote(fslot);
-    read_into(fslot);
-    return fslot;
-  }
-
-  // RAM full: choose the victim once (the sequential obtain_ram_slot order).
-  std::vector<std::uint32_t> ram_candidates;
-  ram_candidates.reserve(ram_.size());
-  for (const Slot& slot : ram_) ram_candidates.push_back(slot.vector);
-  const std::uint32_t ram_victim = ram_strategy_->choose_victim(
-      {ram_candidates.data(), ram_candidates.size()}, fast_victim);
-  const std::uint32_t rslot = slot_of_[ram_victim];
-  PLFOC_CHECK(ram_[rslot].vector == ram_victim);
-
-  if (ram_[rslot].dirty) {
-    // Overlap: the spill write sources the RAM slot directly (its content is
-    // not touched until the demotion lands below); the demand read reuses
-    // the fast victim's slot, so that content moves to scratch first.
-    if (demote_scratch_.size() != width_) demote_scratch_.resize(width_);
-    std::memcpy(demote_scratch_.data(), fast_data(fslot),
-                width_ * sizeof(double));
-    FileBackend::VectorOp ops[2];
-    ops[0].is_write = true;
-    ops[0].index = ram_victim;
-    ops[0].buffer = ram_data(rslot);
-    ops[1].is_write = false;
-    ops[1].index = index;
-    ops[1].verify = verified;
-    ops[1].buffer = fast_data(fslot);
-    file_.submit_vector_ops(ops, 2);
-
-    if (!ops[0].ok()) {
-      // The sequential spill throw leaves both tiers fully intact: restore
-      // the fast victim's content (the read clobbered its slot) and unwind.
-      std::memcpy(fast_data(fslot), demote_scratch_.data(),
-                  width_ * sizeof(double));
-      throw IoError("pwrite", ops[0].error, ops[0].fail_offset,
-                    ops[0].attempts, ops[0].injected);
-    }
-    ++stats_locked().file_writes;
-    stats_locked().bytes_written += width_ * sizeof(double);
-    ++stats_locked().evictions;
-    if (prefetched_unread_[ram_victim]) {
-      prefetched_unread_[ram_victim] = false;
-      ++stats_locked().prefetch_wasted;
-    }
-    ram_strategy_->on_evict(ram_victim);
-    where_[ram_victim] = Location::kDisk;
-    slot_of_[ram_victim] = kNone;
-    ram_[rslot].vector = kNone;
-    ram_[rslot].dirty = false;
-    // The demotion itself, from the scratch image.
-    std::memcpy(ram_data(rslot), demote_scratch_.data(),
-                width_ * sizeof(double));
-    ++tier_stats_.demotions;
-    tier_stats_.bytes_transferred += width_ * sizeof(double);
-    ram_[rslot].vector = fast_victim;
-    ram_[rslot].dirty = fast_[fslot].dirty;
-    ram_strategy_->on_load(fast_victim);
-    ram_strategy_->on_access(fast_victim);
-    where_[fast_victim] = Location::kRam;
-    slot_of_[fast_victim] = rslot;
-    fast_strategy_->on_evict(fast_victim);
-    fast_[fslot].vector = kNone;
-    fast_[fslot].dirty = false;
-
-    if (!ops[1].ok())
-      throw IoError("pread", ops[1].error, ops[1].fail_offset,
-                    ops[1].attempts, ops[1].injected);
-    ++stats_locked().file_reads;
-    stats_locked().bytes_read += width_ * sizeof(double);
-    *out_verify = ops[1].verify_result;
-    return fslot;
-  }
-
-  // Clean RAM victim: no spill write — inline the sequential bookkeeping
-  // (the victim draw above already happened, so demote() must not redraw).
-  ++stats_locked().evictions;
-  if (prefetched_unread_[ram_victim]) {
-    prefetched_unread_[ram_victim] = false;
-    ++stats_locked().prefetch_wasted;
-  }
-  ram_strategy_->on_evict(ram_victim);
-  where_[ram_victim] = Location::kDisk;
-  slot_of_[ram_victim] = kNone;
-  ram_[rslot].vector = kNone;
-  ram_[rslot].dirty = false;
+void TieredStore::demote(std::uint32_t fslot, std::uint32_t rslot) {
+  Slot& fast_slot = fast_[fslot];
+  const std::uint32_t vector = fast_slot.vector;
   std::memcpy(ram_data(rslot), fast_data(fslot), width_ * sizeof(double));
   ++tier_stats_.demotions;
   tier_stats_.bytes_transferred += width_ * sizeof(double);
-  ram_[rslot].vector = fast_victim;
-  ram_[rslot].dirty = fast_[fslot].dirty;
-  ram_strategy_->on_load(fast_victim);
-  ram_strategy_->on_access(fast_victim);
-  where_[fast_victim] = Location::kRam;
-  slot_of_[fast_victim] = rslot;
-  fast_strategy_->on_evict(fast_victim);
-  fast_[fslot].vector = kNone;
-  fast_[fslot].dirty = false;
-  read_into(fslot);
+  ram_[rslot].vector = vector;
+  ram_[rslot].dirty = fast_slot.dirty;
+  ram_strategy_->on_load(vector);
+  ram_strategy_->on_access(vector);
+  where_[vector] = Location::kRam;
+  slot_of_[vector] = rslot;
+  fast_strategy_->on_evict(vector);
+  fast_slot.vector = kNone;
+  fast_slot.dirty = false;
+}
+
+// The one fast-miss path. Freeing a fast slot demotes its occupant to the
+// RAM tier, which may first spill the RAM tier's victim to disk (the tiers
+// multiply traffic, so only dirty victims are written back). The spill and
+// the demand read — unless read skipping elides it — are ONE engine batch;
+// the read lands in the bounce buffer, so a failed spill leaves both tiers
+// exactly as they were. Replacement strategies are consulted once each, in
+// cascade order (Random consumes RNG state).
+std::uint32_t TieredStore::swap_in(std::uint32_t index, bool need_read,
+                                   bool verify, VerifyResult* out_verify) {
+  const std::uint32_t fslot = pick_fast_slot(index);
+  const std::uint32_t fast_victim = fast_[fslot].vector;
+  std::uint32_t rslot = kNone;
+  bool ram_victim = false;
+  bool spill = false;
+  if (fast_victim != kNone) {
+    rslot = pick_ram_slot(fast_victim);
+    ram_victim = ram_[rslot].vector != kNone;
+    spill = ram_victim && ram_[rslot].dirty;
+  }
+
+  const FileBackend::VectorOp read =
+      spill_and_read(spill ? rslot : kNone, need_read ? index : kNone, verify);
+  if (ram_victim) drop_ram(rslot, spill);
+  if (fast_victim != kNone) demote(fslot, rslot);
+  if (need_read) {
+    FileBackend::throw_if_failed(read);  // the fast slot stays free
+    std::memcpy(fast_data(fslot), bounce_.data(), width_ * sizeof(double));
+    ++stats_locked().file_reads;
+    stats_locked().bytes_read += width_ * sizeof(double);
+    *out_verify = read.verify_result;
+  }
   return fslot;
+}
+
+FileBackend::VectorOp TieredStore::spill_and_read(std::uint32_t spill_slot,
+                                                  std::uint32_t index,
+                                                  bool verify) {
+  FileBackend::VectorOp ops[2];
+  std::size_t n = 0;
+  if (spill_slot != kNone) {
+    ops[n].is_write = true;
+    ops[n].index = ram_[spill_slot].vector;
+    ops[n].buffer = ram_data(spill_slot);
+    ++n;
+  }
+  FileBackend::VectorOp& read = ops[n];
+  if (index != kNone) {
+    read.index = index;
+    read.verify = verify;
+    read.buffer = bounce_.data();
+    ++n;
+  }
+  file_.submit_vector_ops(ops, n);
+  if (spill_slot != kNone) FileBackend::throw_if_failed(ops[0]);
+  return read;
 }
 
 double* TieredStore::do_acquire(std::uint32_t index, AccessMode mode) {
@@ -265,9 +176,8 @@ double* TieredStore::do_acquire(std::uint32_t index, AccessMode mode) {
   // releases the lock around the recovery hook, whose child acquires
   // re-enter this method.
   MutexLock lock(mutex_);
-  ++stats_locked().accesses;
-
   if (where_[index] == Location::kFast) {
+    ++stats_locked().accesses;
     ++stats_locked().hits;
     ++tier_stats_.fast_hits;
     const std::uint32_t slot = slot_of_[index];
@@ -277,62 +187,41 @@ double* TieredStore::do_acquire(std::uint32_t index, AccessMode mode) {
     return fast_data(slot);
   }
 
-  ++stats_locked().misses;
-  if (!touched_[index]) ++stats_locked().cold_misses;
-
-  const bool from_ram = where_[index] == Location::kRam;
-  bool promoted_dirty = false;
-  if (from_ram) {
-    // Stage the promotion through a bounce buffer and release the RAM slot
-    // *before* freeing a fast slot: the demoted fast victim can then drop
-    // into the just-freed RAM slot instead of spilling a third vector to
-    // disk when both tiers are exactly full.
+  std::uint32_t fast_slot;
+  VerifyResult verify;  // stays kOk unless a verified disk read fails
+  if (where_[index] == Location::kRam) {
+    // Stage the promotion through the bounce buffer and release the RAM slot
+    // *before* freeing a fast slot: the demoted fast victim then drops into
+    // the just-freed RAM slot instead of spilling a third vector to disk.
     const std::uint32_t ram_slot = slot_of_[index];
     std::memcpy(bounce_.data(), ram_data(ram_slot), width_ * sizeof(double));
-    promoted_dirty = ram_[ram_slot].dirty;
+    const bool promoted_dirty = ram_[ram_slot].dirty;
     ram_strategy_->on_evict(index);
     ram_[ram_slot].vector = kNone;
     ram_[ram_slot].dirty = false;
     where_[index] = Location::kDisk;  // transiently: lives in the bounce buffer
     slot_of_[index] = kNone;
-  }
-
-  std::uint32_t fast_slot;
-  VerifyResult verify;  // stays kOk unless a verified disk read fails
-  if (from_ram) {
-    fast_slot = obtain_fast_slot(index);
+    fast_slot = swap_in(index, /*need_read=*/false, false, &verify);
     // Promote from host RAM: a PCIe copy, no disk access.
     std::memcpy(fast_data(fast_slot), bounce_.data(), width_ * sizeof(double));
-    ++tier_stats_.promotions;
     ++tier_stats_.ram_hits;
-    tier_stats_.bytes_transferred += width_ * sizeof(double);
     fast_[fast_slot].dirty = promoted_dirty;
   } else {
-    // Load from disk straight into the fast tier (staging through host RAM
-    // is a hardware detail the model need not pay twice for).
+    // Load from disk into the fast tier. Only kRead misses verify: a
+    // paper-mode write-miss read loads bytes that are about to be
+    // overwritten, so damage there is never consumed.
     const bool need_read = mode == AccessMode::kRead || !options_.read_skipping;
-    if (need_read && file_.async_io()) {
-      // Only kRead misses verify: a paper-mode write-miss read loads bytes
-      // that are about to be overwritten, so damage there is never consumed.
-      fast_slot = swap_in_overlapped(
-          index, mode == AccessMode::kRead && file_.integrity(), &verify);
-    } else {
-      fast_slot = obtain_fast_slot(index);
-      if (need_read) {
-        if (mode == AccessMode::kRead && file_.integrity())
-          verify = file_.read_vector_verified(index, fast_data(fast_slot));
-        else
-          file_.read_vector(index, fast_data(fast_slot));
-        ++stats_locked().file_reads;
-        stats_locked().bytes_read += width_ * sizeof(double);
-      } else {
-        ++stats_locked().skipped_reads;
-      }
-    }
-    ++tier_stats_.promotions;
-    tier_stats_.bytes_transferred += width_ * sizeof(double);
-    fast_[fast_slot].dirty = false;
+    fast_slot = swap_in(index, need_read,
+                        mode == AccessMode::kRead && file_.integrity(), &verify);
+    if (!need_read) ++stats_locked().skipped_reads;
   }
+  // Counted once the swap landed: a throwing miss leaves every store counter
+  // as it was (only the backend's I/O counters saw the attempt).
+  ++stats_locked().accesses;
+  ++stats_locked().misses;
+  if (!touched_[index]) ++stats_locked().cold_misses;
+  ++tier_stats_.promotions;
+  tier_stats_.bytes_transferred += width_ * sizeof(double);
 
   touched_[index] = true;
   // A demand acquire is the payoff the prefetch staged for (the from_ram
@@ -409,29 +298,29 @@ void TieredStore::do_release(std::uint32_t index) {
 
 void TieredStore::prefetch(std::uint32_t index) {
   PLFOC_CHECK(index < count_);
-  // Advisory cancellation: this may run on the Prefetcher's worker thread,
-  // where throwing would terminate the process. The demand path's acquire()
-  // raises the typed CancelledError instead.
+  // Advisory cancellation: the demand path's acquire() raises the typed
+  // CancelledError instead.
   if (cancel_.cancelled_or_expired()) return;
   MutexLock lock(mutex_);
   if (where_[index] != Location::kDisk) return;  // already staged or resident
   if (!touched_[index]) return;  // nothing meaningful on disk yet
-  const std::uint32_t rslot = obtain_ram_slot(index);
-  if (file_.integrity()) {
-    // A later promotion consumes RAM-tier bytes without re-verification, so
-    // the advisory read is where damage must be caught: drop the install and
-    // let the demand miss take the verified (and recoverable) disk path.
-    const VerifyResult verify =
-        file_.read_vector_verified(index, ram_data(rslot));
-    if (!verify.ok()) {
-      stats_locked().bytes_read += width_ * sizeof(double);
-      ++stats_locked().prefetch_stale;
-      return;  // rslot stays free
-    }
-  } else {
-    file_.read_vector(index, ram_data(rslot));
-  }
+  const std::uint32_t rslot = pick_ram_slot(index);
+  const bool has_victim = ram_[rslot].vector != kNone;
+  const bool spill = has_victim && ram_[rslot].dirty;
+  // One batch, like the demand miss. A later promotion consumes RAM-tier
+  // bytes without re-verification, so the read verifies here: damage drops
+  // the install and the demand miss takes the verified (and recoverable)
+  // disk path.
+  const FileBackend::VectorOp read =
+      spill_and_read(spill ? rslot : kNone, index, file_.integrity());
+  if (has_victim) drop_ram(rslot, spill);
+  FileBackend::throw_if_failed(read);  // rslot stays free
   stats_locked().bytes_read += width_ * sizeof(double);
+  if (!read.verify_result.ok()) {
+    ++stats_locked().prefetch_stale;
+    return;  // rslot stays free
+  }
+  std::memcpy(ram_data(rslot), bounce_.data(), width_ * sizeof(double));
   ++stats_locked().prefetch_reads;
   ram_[rslot].vector = index;
   ram_[rslot].dirty = false;
@@ -442,23 +331,44 @@ void TieredStore::prefetch(std::uint32_t index) {
   prefetched_unread_[index] = true;
 }
 
+// Every dirty vector of both tiers as ONE batch, ordered by vector index so
+// file-adjacent vectors merge into ranged writes. A failed vector stays
+// dirty; the first failure is thrown once the others were written.
 void TieredStore::flush() {
   MutexLock lock(mutex_);
-  for (std::uint32_t s = 0; s < fast_.size(); ++s) {
-    if (fast_[s].vector == kNone || !fast_[s].dirty) continue;
-    file_.write_vector(fast_[s].vector, fast_data(s));
-    ++stats_locked().file_writes;
-    stats_locked().bytes_written += width_ * sizeof(double);
-    fast_[s].dirty = false;
+  struct Dirty {
+    std::uint32_t vector;
+    Slot* slot;
+    double* data;
+    bool operator<(const Dirty& other) const { return vector < other.vector; }
+  };
+  std::vector<Dirty> dirty;
+  for (std::uint32_t s = 0; s < fast_.size(); ++s)
+    if (fast_[s].vector != kNone && fast_[s].dirty)
+      dirty.push_back({fast_[s].vector, &fast_[s], fast_data(s)});
+  for (std::uint32_t s = 0; s < ram_.size(); ++s)
+    if (ram_[s].vector != kNone && ram_[s].dirty)
+      dirty.push_back({ram_[s].vector, &ram_[s], ram_data(s)});
+  std::sort(dirty.begin(), dirty.end());
+  std::vector<FileBackend::VectorOp> ops(dirty.size());
+  for (std::size_t k = 0; k < dirty.size(); ++k) {
+    ops[k].is_write = true;
+    ops[k].index = dirty[k].vector;
+    ops[k].buffer = dirty[k].data;
   }
-  for (std::uint32_t s = 0; s < ram_.size(); ++s) {
-    if (ram_[s].vector == kNone || !ram_[s].dirty) continue;
-    file_.write_vector(ram_[s].vector, ram_data(s));
+  file_.submit_vector_ops(ops.data(), ops.size());
+  const FileBackend::VectorOp* failed = nullptr;
+  for (std::size_t k = 0; k < dirty.size(); ++k) {
+    if (!ops[k].ok()) {
+      if (failed == nullptr) failed = &ops[k];
+      continue;
+    }
     ++stats_locked().file_writes;
     stats_locked().bytes_written += width_ * sizeof(double);
-    ram_[s].dirty = false;
+    dirty[k].slot->dirty = false;
   }
   file_.sync();
+  if (failed != nullptr) FileBackend::throw_if_failed(*failed);
 }
 
 OocStats TieredStore::stats_snapshot() const {

@@ -20,7 +20,9 @@
 // on the accelerator), so m_fast >= 3. Both tiers use their own replacement
 // strategy instance. Transfer statistics are split per layer: stats() counts
 // the disk layer exactly like OutOfCoreStore; tier_stats() counts
-// host<->device traffic.
+// host<->device traffic. Every disk transfer is a
+// FileBackend::submit_vector_ops batch, whatever the I/O engine: one
+// fast-miss path (swap_in), one prefetch, one flush.
 #pragma once
 
 #include <vector>
@@ -68,14 +70,15 @@ class TieredStore final : public AncestralStore {
 
   /// Advisory prefetch into the *RAM tier*: stage `index` from disk so a
   /// later acquire promotes it over PCIe instead of paying a device read.
-  /// No-op unless the vector is on disk and has been written. The install
-  /// ages the vector into the RAM strategy via on_prefetch_install, and an
-  /// install evicted to disk before any acquire counts
-  /// stats().prefetch_wasted. Synchronous (no engine batch): the tier's
-  /// prefetch traffic is host-side staging, not the latency-critical path.
+  /// No-op unless the vector is on disk and has been written. The RAM
+  /// victim's spill and the read form one batch. The install ages the
+  /// vector into the RAM strategy via on_prefetch_install, and an install
+  /// evicted to disk before any acquire counts stats().prefetch_wasted.
   void prefetch(std::uint32_t index);
 
-  /// Write all dirty state (both tiers) back to the file.
+  /// Write all dirty state (both tiers) back to the file as one batch. A
+  /// failed vector stays dirty; the first failure is thrown after the
+  /// others were written.
   void flush() override;
 
   const FileBackend& file() const { return file_; }
@@ -116,21 +119,29 @@ class TieredStore final : public AncestralStore {
   void recover_or_throw(MutexLock& lock, std::uint32_t index,
                         std::uint32_t slot, const VerifyResult& verify)
       PLFOC_REQUIRES(mutex_);
-  /// Free a fast slot (demoting its occupant to RAM).
-  std::uint32_t obtain_fast_slot(std::uint32_t incoming)
-      PLFOC_REQUIRES(mutex_);
-  /// Free a RAM slot (evicting its occupant to disk).
-  std::uint32_t obtain_ram_slot(std::uint32_t incoming) PLFOC_REQUIRES(mutex_);
-  /// Move the vector in fast slot `slot` down to the RAM tier.
-  void demote(std::uint32_t slot) PLFOC_REQUIRES(mutex_);
-  /// Async-engine disk-miss path: free a fast slot AND load `index` into it,
-  /// overlapping the cascaded RAM-victim spill write (when one is needed)
-  /// with the demand read as one engine batch. Counts file_reads/bytes_read
-  /// like the sequential read; the caller still counts the promotion. On a
-  /// spill failure the whole cascade is undone (both tiers keep their
-  /// occupants) — the state the sequential obtain_ram_slot throw leaves.
-  std::uint32_t swap_in_overlapped(std::uint32_t index, bool verified,
-                                   VerifyResult* out_verify)
+  /// A free fast slot, else the fast strategy's victim (unpinned).
+  std::uint32_t pick_fast_slot(std::uint32_t incoming) PLFOC_REQUIRES(mutex_);
+  /// A free RAM slot, else the RAM strategy's victim.
+  std::uint32_t pick_ram_slot(std::uint32_t incoming) PLFOC_REQUIRES(mutex_);
+  /// Retire RAM slot `slot`'s occupant to disk (its spill, if `spilled`,
+  /// has landed).
+  void drop_ram(std::uint32_t slot, bool spilled) PLFOC_REQUIRES(mutex_);
+  /// Move the vector in fast slot `fslot` down to free RAM slot `rslot`.
+  void demote(std::uint32_t fslot, std::uint32_t rslot) PLFOC_REQUIRES(mutex_);
+  /// The fast-miss path: free a fast slot for `index` (demoting its
+  /// occupant, spilling a dirty RAM victim) and, when `need_read`, load
+  /// `index` from disk into it — spill and read as one engine batch.
+  /// Counts file_reads/bytes_read; the caller counts the promotion. On a
+  /// spill failure both tiers keep their occupants and bytes; on a read
+  /// failure the cascade has completed and the fast slot stays free.
+  std::uint32_t swap_in(std::uint32_t index, bool need_read, bool verify,
+                        VerifyResult* out_verify) PLFOC_REQUIRES(mutex_);
+  /// One batch: spill RAM slot `spill_slot`'s occupant (unless kNone) and
+  /// read `index` into the bounce buffer (unless kNone). Throws IoError when
+  /// the spill failed — nothing has changed then; returns the read op, whose
+  /// failure the caller throws once its own bookkeeping is done.
+  FileBackend::VectorOp spill_and_read(std::uint32_t spill_slot,
+                                       std::uint32_t index, bool verify)
       PLFOC_REQUIRES(mutex_);
 
   /// Base-class counters re-exported under their capability (every mutation
@@ -143,12 +154,9 @@ class TieredStore final : public AncestralStore {
   TieredStoreOptions options_;
   AlignedBuffer fast_arena_;
   AlignedBuffer ram_arena_;
-  /// One-vector staging buffer for promotions.
+  /// One-vector staging buffer: promotions from RAM, and every disk read
+  /// until its batch succeeded.
   AlignedBuffer bounce_ PLFOC_GUARDED_BY(mutex_);
-  /// Overlapped-swap staging (async engines only): holds the demoting fast
-  /// victim's content while the demand read reuses its fast slot — and
-  /// doubles as the undo image if the cascaded spill write fails.
-  std::vector<double> demote_scratch_ PLFOC_GUARDED_BY(mutex_);
   std::vector<Slot> fast_ PLFOC_GUARDED_BY(mutex_);
   std::vector<Slot> ram_ PLFOC_GUARDED_BY(mutex_);
   /// Per vector.

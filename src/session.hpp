@@ -79,14 +79,14 @@ struct SessionOptions {
   /// real). max_retries = 0 disables retrying: the first transient error
   /// surfaces as IoError.
   RetryPolicy io_retry;
-  /// Async I/O engine for the backing file of every file-backed backend
-  /// (out-of-core / paged / tiered): kSync keeps the historical sequential
-  /// syscalls; kThreads is the portable submission/completion thread pool;
+  /// I/O engine for the backing file of every file-backed backend
+  /// (out-of-core / paged / tiered): kSync is the batched path at depth 1
+  /// (ops inline, one at a time); kThreads is the portable thread pool;
   /// kUring is Linux io_uring (degrades to kThreads when the host lacks
   /// support); kDeterministic is the test engine that delivers completions
   /// in a seeded permutation (docs/async-io.md).
   AioEngineKind io_engine = AioEngineKind::kSync;
-  /// Submission-queue depth for async engines (clamped to >= 1).
+  /// Submission-queue depth (clamped to >= 1; kSync always runs at 1).
   unsigned io_depth = 8;
   /// Completion-delivery permutation seed (deterministic engine only).
   std::uint64_t io_permute_seed = kAioOrderIdentity;

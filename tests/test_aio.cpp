@@ -320,6 +320,9 @@ TEST(AioBatch, FileBackendCoalescesAdjacentReads) {
     ops[v].buffer = arena.data() + v * width;
     ops[v].verify = true;
   }
+  // The setup writes above are one-op batches of their own: count only the
+  // measured batch.
+  file.reset_io_counters();
   const std::uint64_t device_ops_before = file.io_operations();
   file.submit_vector_ops(ops.data(), count);
   for (std::size_t v = 0; v < count; ++v) {
@@ -766,6 +769,236 @@ TEST(AioPermutations, AsyncEnginesBitIdenticalToSyncBaseline) {
     tiered.io_depth = 8;
     EXPECT_EQ(fuzz::run_candidate(plan, tiered), expected)
         << "tiered engine " << aio_engine_name(engine);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Failure parity: one miss path and one flush for every engine
+// ---------------------------------------------------------------------------
+
+// A fault schedule that fails exactly the first write attempt of the store's
+// life and none of the next `clean_after` attempts. Only ENOSPC is drawn,
+// which the injector applies to writes alone, and no retry is allowed, so
+// that first write-back exhausts at once.
+FileBackendOptions first_write_fails(const std::string& tag,
+                                     AioEngineKind engine) {
+  constexpr unsigned kCleanAfter = 24;
+  FaultConfig faults;
+  faults.rate = 0.2;
+  faults.kinds = kFaultEnospc;
+  faults.burst = 1;
+  for (faults.seed = 1;; ++faults.seed) {
+    FaultInjector probe(faults);
+    if (probe.next(true, 0).kind == FaultKind::kNone) continue;
+    bool clean = true;
+    for (unsigned k = 0; k < kCleanAfter && clean; ++k)
+      clean = probe.next(true, 0).kind == FaultKind::kNone;
+    if (clean) break;
+  }
+  FileBackendOptions file;
+  file.base_path = temp_vector_file_path(tag);
+  file.faults = faults;
+  file.retry.max_retries = 0;
+  file.retry.backoff_initial_us = 0;
+  file.io_engine = engine;
+  file.io_permute_seed = kAioOrderReverse;  // deterministic engine only
+  return file;
+}
+
+// Every store-level counter: the ones a failed miss must leave untouched.
+// The backend's I/O counters (faults, retries, exhaustion, batches) are
+// left out — they record the failed attempt.
+std::vector<std::uint64_t> store_counters(const OocStats& s) {
+  return {s.accesses,       s.hits,           s.misses,
+          s.cold_misses,    s.evictions,      s.file_reads,
+          s.file_writes,    s.skipped_reads,  s.prefetch_reads,
+          s.prefetch_stale, s.prefetch_wasted, s.bytes_read,
+          s.bytes_written,  s.integrity_failures};
+}
+
+void expect_audits_clean(const OocStats& stats, const std::string& label) {
+  StoreAuditor auditor(1, 1);
+  const auto violation = auditor.check_stats(stats);
+  EXPECT_FALSE(violation.has_value()) << label << ": " << *violation;
+}
+
+void fill(double* data, std::size_t width, double base) {
+  for (std::size_t i = 0; i < width; ++i)
+    data[i] = base + static_cast<double>(i) * 0.125;
+}
+
+const AioEngineKind kParityEngines[] = {AioEngineKind::kSync,
+                                        AioEngineKind::kDeterministic};
+
+TEST(MissFailureParity, OocVictimWriteBackExhaustedLeavesStoreUnchanged) {
+  const std::size_t width = 64;
+  for (const AioEngineKind engine : kParityEngines) {
+    const std::string label = aio_engine_name(engine);
+    OocStoreOptions options;
+    options.num_slots = 3;
+    options.policy = ReplacementPolicy::kLru;
+    options.file = first_write_fails("parity-ooc", engine);
+    OutOfCoreStore store(4, width, options);
+    std::vector<double> victim(width);
+    for (std::uint32_t v = 0; v < 3; ++v) {
+      auto lease = store.acquire(v, AccessMode::kWrite);  // free slots
+      fill(lease.data(), width, 10.0 * v);
+      if (v == 0) std::copy(lease.data(), lease.data() + width, victim.begin());
+    }
+    const OocStats before = store.stats_snapshot();
+
+    // Vector 3's read-mode miss evicts LRU vector 0: its write-back and the
+    // demand read ride one batch, and the write-back exhausts.
+    try {
+      store.acquire(3, AccessMode::kRead);
+      ADD_FAILURE() << label << ": the victim write-back did not fail";
+    } catch (const IoError& error) {
+      EXPECT_EQ(error.op(), "pwrite") << label;
+      EXPECT_TRUE(error.injected()) << label;
+    }
+    const OocStats after = store.stats_snapshot();
+    EXPECT_EQ(store_counters(after), store_counters(before)) << label;
+    EXPECT_EQ(after.io_exhausted, 1u) << label;
+    expect_audits_clean(after, label);
+    EXPECT_TRUE(store.is_resident(0)) << label;
+    EXPECT_FALSE(store.is_resident(3)) << label;
+    {
+      auto lease = store.acquire(0, AccessMode::kRead);  // a hit
+      EXPECT_TRUE(std::equal(victim.begin(), victim.end(), lease.data()))
+          << label << ": victim bytes changed";
+    }
+    EXPECT_EQ(store.stats_snapshot().hits, before.hits + 1) << label;
+
+    // The retry evicts vector 1 instead (0 was just used) and succeeds.
+    {
+      auto lease = store.acquire(3, AccessMode::kRead);
+      for (std::size_t i = 0; i < width; ++i)
+        ASSERT_EQ(lease.data()[i], 0.0) << label;  // never written: zeros
+    }
+    EXPECT_TRUE(store.is_resident(0)) << label;
+    EXPECT_FALSE(store.is_resident(1)) << label;
+    const OocStats retried = store.stats_snapshot();
+    EXPECT_EQ(retried.file_writes, before.file_writes + 1) << label;
+    EXPECT_EQ(retried.io_exhausted, 1u) << label;
+    expect_audits_clean(retried, label);
+  }
+}
+
+TEST(MissFailureParity, TieredSpillExhaustedLeavesTiersUnchanged) {
+  const std::size_t width = 64;
+  for (const AioEngineKind engine : kParityEngines) {
+    const std::string label = aio_engine_name(engine);
+    TieredStoreOptions options;
+    options.fast_slots = 3;
+    options.ram_slots = 1;
+    options.fast_policy = ReplacementPolicy::kLru;
+    options.ram_policy = ReplacementPolicy::kLru;
+    options.file = first_write_fails("parity-tiered", engine);
+    TieredStore store(5, width, options);
+    std::vector<double> spilled(width);
+    for (std::uint32_t v = 0; v < 4; ++v) {
+      // Vector 3 demotes vector 0 into the free RAM slot: no disk I/O yet.
+      auto lease = store.acquire(v, AccessMode::kWrite);
+      fill(lease.data(), width, 10.0 * v);
+      if (v == 0)
+        std::copy(lease.data(), lease.data() + width, spilled.begin());
+    }
+    const OocStats before = store.stats_snapshot();
+    const TierStats tiers_before = store.tier_stats();
+
+    // Vector 4's read-mode miss demotes fast victim 1, which spills dirty RAM
+    // victim 0: the spill and the demand read ride one batch, and the spill
+    // exhausts.
+    try {
+      store.acquire(4, AccessMode::kRead);
+      ADD_FAILURE() << label << ": the spill did not fail";
+    } catch (const IoError& error) {
+      EXPECT_EQ(error.op(), "pwrite") << label;
+    }
+    const OocStats after = store.stats_snapshot();
+    EXPECT_EQ(store_counters(after), store_counters(before)) << label;
+    EXPECT_EQ(after.io_exhausted, 1u) << label;
+    expect_audits_clean(after, label);
+    EXPECT_EQ(store.tier_stats().demotions, tiers_before.demotions) << label;
+
+    // Vector 0 is still in the RAM tier with its bytes: promoting it reads
+    // nothing from disk.
+    {
+      auto lease = store.acquire(0, AccessMode::kRead);
+      EXPECT_TRUE(std::equal(spilled.begin(), spilled.end(), lease.data()))
+          << label << ": RAM victim bytes changed";
+    }
+    EXPECT_EQ(store.tier_stats().ram_hits, tiers_before.ram_hits + 1)
+        << label;
+    EXPECT_EQ(store.stats_snapshot().file_reads, before.file_reads) << label;
+
+    // The retry spills vector 1 (demoted by the promotion above) and loads 4.
+    {
+      auto lease = store.acquire(4, AccessMode::kRead);
+      for (std::size_t i = 0; i < width; ++i)
+        ASSERT_EQ(lease.data()[i], 0.0) << label;
+    }
+    const OocStats retried = store.stats_snapshot();
+    EXPECT_EQ(retried.file_writes, before.file_writes + 1) << label;
+    EXPECT_EQ(retried.file_reads, before.file_reads + 1) << label;
+    expect_audits_clean(retried, label);
+
+    // The failed batch's read did not land on the fast victim either: vector
+    // 1 reached the file with its own bytes.
+    std::vector<double> expected(width);
+    fill(expected.data(), width, 10.0);
+    auto lease = store.acquire(1, AccessMode::kRead);
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), lease.data()))
+        << label << ": fast victim bytes changed";
+  }
+}
+
+// flush is one batch on every engine: a failed write leaves its slot dirty
+// while the other dirty slots are still written, and the first failure is
+// thrown at the end. The dirty vectors are not file-adjacent, so each rides
+// its own transfer.
+TEST(MissFailureParity, FlushWritesEveryOtherDirtySlotAndThrowsFirstError) {
+  const std::size_t width = 64;
+  const std::uint32_t dirty[] = {0, 2, 4, 6};
+  // fsck recomputes every written record's checksum from the file: all
+  // four records must be there, whole.
+  const auto expect_all_written = [](const std::string& path,
+                                     const std::string& label) {
+    const FsckReport report = FileBackend::fsck(path);
+    EXPECT_TRUE(report.clean()) << label;
+    EXPECT_EQ(report.checked, 4u) << label;
+  };
+  for (const AioEngineKind engine : kParityEngines) {
+    const std::string label = aio_engine_name(engine);
+    {
+      OocStoreOptions options;
+      options.num_slots = 4;
+      options.file = first_write_fails("parity-flush-ooc", engine);
+      OutOfCoreStore store(8, width, options);
+      for (const std::uint32_t v : dirty)
+        fill(store.acquire(v, AccessMode::kWrite).data(), width, 10.0 * v);
+      EXPECT_THROW(store.flush(), IoError) << label;
+      EXPECT_EQ(store.stats_snapshot().file_writes, 3u) << label;
+      store.flush();  // only vector 0 is still dirty
+      EXPECT_EQ(store.stats_snapshot().file_writes, 4u) << label;
+      expect_audits_clean(store.stats_snapshot(), label);
+      expect_all_written(options.file.base_path, "ooc " + label);
+    }
+    {
+      TieredStoreOptions options;
+      options.fast_slots = 3;
+      options.ram_slots = 2;
+      options.file = first_write_fails("parity-flush-tiered", engine);
+      TieredStore store(8, width, options);
+      // Vector 6 demotes vector 0: dirty vectors sit in both tiers.
+      for (const std::uint32_t v : dirty)
+        fill(store.acquire(v, AccessMode::kWrite).data(), width, 10.0 * v);
+      EXPECT_THROW(store.flush(), IoError) << label;
+      EXPECT_EQ(store.stats_snapshot().file_writes, 3u) << label;
+      store.flush();
+      EXPECT_EQ(store.stats_snapshot().file_writes, 4u) << label;
+      expect_all_written(options.file.base_path, "tiered " + label);
+    }
   }
 }
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "ooc/file_backend.hpp"
 #include "ooc/inram_store.hpp"
 #include "sim/dataset_planner.hpp"
 #include "util/checks.hpp"
@@ -115,6 +120,69 @@ TEST(Checkpoint, RestoreModelValidatesCategories) {
   LikelihoodEngine wrong(fx.data.alignment, tree,
                          ModelConfig{jc69(), 2, 1.0}, store);
   EXPECT_THROW(restore_model(checkpoint, wrong), Error);
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void put_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST(Checkpoint, InterruptedSaveLeavesPreviousFileLoadable) {
+  const std::string path = temp_vector_file_path("ckpt-crash");
+  const std::string temp = path + ".tmp";
+  Fixture fx(19);
+  fx.engine.set_alpha(0.25);
+  save_checkpoint_file(path, fx.engine);
+  const std::string previous = file_bytes(path);
+
+  // A save that crashed mid-write leaves a torn temp file beside the good
+  // checkpoint; the checkpoint itself is untouched.
+  fx.engine.set_alpha(0.75);
+  std::ostringstream next;
+  write_checkpoint(next, make_checkpoint(fx.engine));
+  put_file(temp, next.str().substr(0, next.str().size() / 2));
+  EXPECT_EQ(file_bytes(path), previous);
+  EXPECT_EQ(load_checkpoint_file(path).alpha, 0.25);
+
+  // A save that fails before its rename (here: the temp file cannot be
+  // created) throws and leaves the previous checkpoint in place.
+  std::remove(temp.c_str());
+  ASSERT_EQ(::mkdir(temp.c_str(), 0700), 0);
+  EXPECT_THROW(save_checkpoint_file(path, fx.engine), Error);
+  EXPECT_EQ(file_bytes(path), previous);
+  EXPECT_EQ(load_checkpoint_file(path).alpha, 0.25);
+  ::rmdir(temp.c_str());
+
+  // The next save replaces the checkpoint whole and leaves no temp file.
+  save_checkpoint_file(path, fx.engine);
+  EXPECT_EQ(load_checkpoint_file(path).alpha, 0.75);
+  EXPECT_TRUE(file_bytes(temp).empty());
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsTruncatedOrBitFlippedFile) {
+  const std::string path = temp_vector_file_path("ckpt-damage");
+  Fixture fx(23);
+  save_checkpoint_file(path, fx.engine);
+  const std::string good = file_bytes(path);
+  ASSERT_NO_THROW(load_checkpoint_file(path));
+
+  put_file(path, good.substr(0, good.size() - 1));
+  EXPECT_THROW(load_checkpoint_file(path), Error);
+
+  // Every single-bit flip — header, body or trailer — is caught.
+  for (std::size_t byte = 0; byte < good.size(); byte += 7) {
+    std::string flipped = good;
+    flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << (byte % 8)));
+    put_file(path, flipped);
+    EXPECT_THROW(load_checkpoint_file(path), Error) << "byte " << byte;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

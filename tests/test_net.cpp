@@ -178,28 +178,6 @@ TEST(Protocol, DeadlineSecondsRoundUpToWholeMilliseconds) {
   EXPECT_EQ(deadline_ms_from_seconds(2.5), 2500u);
 }
 
-TEST(Protocol, V1PeersInteroperateWithoutDeadlines) {
-  // An old client encodes at v1: the frame carries no deadline field, and
-  // a current decoder reads it as "no deadline" — every other field
-  // survives unchanged. This is the backward-compatibility contract the
-  // version bump promised.
-  SubmitRequest msg = sample_submit();
-  msg.deadline_ms = 2500;  // the v1 encoder must NOT serialise this
-  const std::vector<std::uint8_t> bytes = encode_submit_request(msg, 1);
-  const Frame frame = frame_of(bytes);
-  EXPECT_EQ(frame.version, 1u);
-  const SubmitRequest back = decode_submit_request(frame);
-  EXPECT_EQ(back.deadline_ms, 0u);
-  EXPECT_EQ(back.tenant, msg.tenant);
-  EXPECT_EQ(back.tree_v, msg.tree_v);
-  EXPECT_EQ(back.taxa_digest, msg.taxa_digest);
-
-  // v1 control frames stay accepted too.
-  const Frame ping = frame_of(encode_frame(MessageType::kPing, {}, 1));
-  EXPECT_EQ(ping.type, MessageType::kPing);
-  EXPECT_EQ(ping.version, 1u);
-}
-
 TEST(Protocol, StatsRowsCarryExpiredAndShedCounts) {
   StatsResponse stats;
   stats.request_id = 8;
@@ -230,6 +208,20 @@ ProtocolError::Kind decode_kind(const std::vector<std::uint8_t>& bytes) {
   }
   PLFOC_REQUIRE(false, "expected a ProtocolError");
   return ProtocolError::Kind::kTruncated;  // unreachable
+}
+
+TEST(Protocol, V1FramesAreRejectedAsBadVersion) {
+  // The minimum accepted version is the current one: a v1 frame — a data
+  // frame or a control frame — fails header validation with the typed
+  // kBadVersion error instead of decoding under v1 field rules.
+  ASSERT_EQ(kMinProtocolVersion, kProtocolVersion);
+  const SubmitRequest msg = sample_submit();
+  std::vector<std::uint8_t> submit = encode_submit_request(msg);
+  const std::uint16_t v1 = 1;
+  std::memcpy(&submit[4], &v1, sizeof(v1));
+  EXPECT_EQ(decode_kind(submit), ProtocolError::Kind::kBadVersion);
+  EXPECT_EQ(decode_kind(encode_frame(MessageType::kPing, {}, 1)),
+            ProtocolError::Kind::kBadVersion);
 }
 
 TEST(Framing, BadMagicBadVersionBadTypeOversized) {
