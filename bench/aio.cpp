@@ -1,7 +1,7 @@
 // Async-I/O engine sweep (docs/async-io.md): the Fig. 5 disk-bound traversal
-// workload re-run under --io-engine sync | threads | uring across a queue-
-// depth sweep, with a Prefetcher attached so the batched lookahead path is
-// what fills the queue.
+// workload re-run under --io-engine sync, then threads across a queue-depth
+// sweep, with a Prefetcher attached so the batched lookahead path is what
+// fills the queue.
 //
 // A large-RAM host page-caches the whole vector file, so an unadorned run
 // cannot show what overlapped submission buys on the paper's 2 GB machine.
@@ -46,7 +46,7 @@ struct RunResult {
   double device = 0.0;
   double loglik = 0.0;
   OocStats stats;
-  const char* engine = "?";  ///< resolved name (uring may degrade to threads)
+  const char* engine = "?";
   unsigned depth = 1;
 };
 
@@ -101,7 +101,7 @@ RunResult run(const PlannedDataset& data, AioEngineKind engine,
   }
   result.device = store->file().modeled_device_seconds();
   result.stats = session.store().stats_snapshot();
-  result.engine = store->file().io_engine_name();
+  result.engine = aio_engine_name(engine);
   return result;
 }
 
@@ -184,9 +184,6 @@ int main(int argc, char** argv) {
               static_cast<double>(plan.target_ancestral_bytes) / 1048576.0,
               static_cast<double>(budget) / 1048576.0,
               static_cast<double>(latency_ns) / 1e6, scale_name(scale));
-  std::printf("# uring rows silently degrade to the thread pool when the "
-              "host refuses io_uring (engine column shows the resolved "
-              "backend)\n");
   std::printf("%-8s %5s %8s %8s %9s %10s %10s %10s %7s %6s %6s\n", "engine",
               "depth", "wall_s", "device_s", "proj_s", "transfers", "batches",
               "coalesced", "w_coal", "hit", "wasted");
@@ -196,13 +193,10 @@ int main(int argc, char** argv) {
   rows.push_back(run(data, AioEngineKind::kSync, 1, budget, traversals,
                      latency_ns, ReplacementPolicy::kTopological));
   print_row(rows.back());
-  for (const AioEngineKind engine :
-       {AioEngineKind::kThreads, AioEngineKind::kUring}) {
-    for (const unsigned depth : depths) {
-      rows.push_back(run(data, engine, depth, budget, traversals,
-                         latency_ns, ReplacementPolicy::kTopological));
-      print_row(rows.back());
-    }
+  for (const unsigned depth : depths) {
+    rows.push_back(run(data, AioEngineKind::kThreads, depth, budget,
+                       traversals, latency_ns, ReplacementPolicy::kTopological));
+    print_row(rows.back());
   }
 
   // Write-heavy second phase: LRU under the same disk-bound traversals. The

@@ -31,7 +31,6 @@ const char* backend_label(Backend backend) {
     case Backend::kOutOfCore: return "ooc";
     case Backend::kPaged: return "paged";
     case Backend::kTiered: return "tiered";
-    case Backend::kMmap: return "mmap";
   }
   return "?";
 }
@@ -52,7 +51,7 @@ CliConfig parse_cli(int argc, const char* const* argv) {
       .add_uint("categories", &config.categories, "discrete-Γ categories")
       .add_double("alpha", &config.alpha, "initial Γ shape parameter")
       .add_string("backend", &config.backend,
-                  "storage backend: inram | ooc | paged | tiered | mmap")
+                  "storage backend: inram | ooc | paged | tiered")
       .add_uint("memory-limit", &config.memory_limit,
                 "ancestral-vector RAM budget in bytes (RAxML's -L)")
       .add_double("ram-fraction", &config.ram_fraction,
@@ -71,14 +70,9 @@ CliConfig parse_cli(int argc, const char* const* argv) {
       .add_flag("no-integrity", &config.no_integrity,
                 "disable per-vector checksums and self-healing recovery")
       .add_string("io-engine", &config.io_engine,
-                  "backing-file I/O engine: sync | threads | uring | "
-                  "deterministic (uring degrades to threads when the host "
-                  "lacks io_uring)")
+                  "backing-file I/O engine: sync | threads | deterministic")
       .add_uint("io-depth", &config.io_depth,
                 "submission-queue depth for async I/O engines")
-      .add_flag("direct-io", &config.direct_io,
-                "route 512-byte-aligned transfers through O_DIRECT "
-                "(best effort; misaligned transfers stay buffered)")
       .add_uint("threads", &config.threads,
                 "kernel threads for block-parallel PLF kernels (1 = serial; "
                 "logL is bit-identical for every value)")
@@ -157,7 +151,6 @@ int run_cli(const CliConfig& config, std::ostream& out) {
   options.io_retry.max_retries = static_cast<unsigned>(config.io_retries);
   options.io_engine = parse_aio_engine(config.io_engine);
   options.io_depth = static_cast<unsigned>(config.io_depth);
-  options.direct_io = config.direct_io;
   options.threads = static_cast<unsigned>(config.threads);
   Session session(std::move(alignment), std::move(tree), std::move(model),
                   options);
@@ -168,8 +161,6 @@ int run_cli(const CliConfig& config, std::ostream& out) {
       << session.patterns() << " patterns, vector width "
       << session.vector_width() * sizeof(double) << " B)\n";
   if (options.io_engine != AioEngineKind::kSync) {
-    // Report the engine that actually got built (uring degrades to the
-    // thread pool on hosts without io_uring support).
     const FileBackend* backing = nullptr;
     if (const OutOfCoreStore* ooc = session.out_of_core())
       backing = &ooc->file();
@@ -178,9 +169,8 @@ int run_cli(const CliConfig& config, std::ostream& out) {
     else if (const TieredStore* tiered = session.tiered())
       backing = &tiered->file();
     if (backing != nullptr)
-      out << "io engine: " << backing->io_engine_name() << " (depth "
-          << backing->io_depth() << (config.direct_io ? ", O_DIRECT" : "")
-          << ")\n";
+      out << "io engine: " << aio_engine_name(options.io_engine) << " (depth "
+          << backing->io_depth() << ")\n";
   }
 
   if (config.mode == "evaluate") {
@@ -265,7 +255,7 @@ BatchConfig parse_batch_cli(int argc, const char* const* argv) {
                 "(a job's io-retries= key overrides; 0 = fail fast)")
       .add_string("io-engine", &config.io_engine,
                   "batch-default backing-file I/O engine: sync | threads | "
-                  "uring | deterministic (a job's io-engine= key overrides)")
+                  "deterministic (a job's io-engine= key overrides)")
       .add_uint("io-depth", &config.io_depth,
                 "batch-default async submission-queue depth "
                 "(a job's io-depth= key overrides)")
@@ -533,7 +523,7 @@ ServeConfig parse_serve_cli(int argc, const char* const* argv) {
                 "kernel threads per worker (jobfile threads= overrides)")
       .add_string("io-engine", &config.io_engine,
                   "service-default backing-file I/O engine: sync | threads | "
-                  "uring | deterministic (jobfile io-engine= overrides)")
+                  "deterministic (jobfile io-engine= overrides)")
       .add_uint("io-depth", &config.io_depth,
                 "service-default async submission-queue depth")
       .add_flag("readmit", &config.readmit,

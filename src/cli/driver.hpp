@@ -49,9 +49,8 @@ struct CliConfig {
   std::uint64_t io_retries = 4;      // transient-error retry budget (0 = off)
   bool no_integrity = false;         // disable per-vector checksums
   // async I/O (docs/async-io.md)
-  std::string io_engine = "sync";    // sync | threads | uring | deterministic
+  std::string io_engine = "sync";    // sync | threads | deterministic
   std::uint64_t io_depth = 8;        // submission-queue depth (sync: always 1)
-  bool direct_io = false;            // O_DIRECT for 512-aligned transfers
   // parallelism (docs/parallelism.md)
   std::uint64_t threads = 1;         // kernel threads (1 = serial)
   // workload

@@ -47,7 +47,6 @@ const char* backend_wire_name(Backend backend) {
     case Backend::kOutOfCore: return "ooc";
     case Backend::kPaged: return "paged";
     case Backend::kTiered: return "tiered";
-    case Backend::kMmap: return "mmap";
   }
   return "?";
 }

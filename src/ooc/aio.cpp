@@ -1,12 +1,10 @@
 #include "ooc/aio.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -15,162 +13,113 @@
 #include "util/checksum.hpp"
 #include "util/mutex.hpp"
 
-#if defined(__linux__) && __has_include(<linux/io_uring.h>)
-#define PLFOC_HAVE_URING 1
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#endif
-
 namespace plfoc {
-namespace {
 
-/// O_DIRECT demands 512-aligned position, length and buffer; an attempt that
-/// violates any of the three goes through the buffered descriptor instead.
-int pick_fd(const AioOp& op, std::uint64_t position, std::size_t request,
-            const char* cursor) {
-  if (op.direct_fd >= 0 && position % 512 == 0 && request % 512 == 0 &&
-      reinterpret_cast<std::uintptr_t>(cursor) % 512 == 0)
-    return op.direct_fd;
-  return op.fd;
-}
-
-/// The per-op retry/injection state machine. run_transfer drives it with
-/// blocking syscalls; the io_uring engine drives it from its completion
-/// queue. Counter deltas accumulate in the completion (not backend atomics)
-/// and the terminal failure is recorded there (not thrown): the engines run
-/// this off the calling thread, where a throw would terminate the process.
-class TransferState {
- public:
-  TransferState() = default;
-  TransferState(const AioOp& op, const AioEngineOptions& options)
-      : op_(op),
-        options_(&options),
-        backoff_us_(options.retry.backoff_initial_us) {
-    completion_.token = op.token;
-  }
-
-  const AioOp& op() const { return op_; }
-  std::size_t remaining() const { return op_.bytes - done_; }
-  std::uint64_t position() const { return op_.offset + done_; }
-  char* cursor() const { return static_cast<char*>(op_.buffer) + done_; }
-  const AioCompletion& completion() const { return completion_; }
-
-  /// Consult the fault schedule before the next attempt. Sets *request to
-  /// the bytes to ask for (an injected short transfer shrinks it) and
-  /// returns the simulated errno, or 0 when the real syscall should run.
-  int next_attempt(std::size_t* request) {
-    *request = remaining();
-    if (options_->injector == nullptr) return 0;
-    const FaultDecision fault = const_cast<FaultInjector*>(options_->injector)
-                                    ->next(op_.is_write, faults_this_transfer_);
-    if (fault.kind != FaultKind::kNone) ++completion_.faults;
-    switch (fault.kind) {
-      case FaultKind::kNone:
-        return 0;
-      case FaultKind::kLatency:
-        // A stall, not an error: the transfer proceeds untouched and the
-        // spike does not count against the burst cap.
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(options_->latency_ns));
-        return 0;
-      case FaultKind::kShortTransfer:
-        ++faults_this_transfer_;
-        if (*request > 1)
-          *request = 1 + static_cast<std::size_t>(
-                             fault.fraction *
-                             static_cast<double>(*request - 1));
-        return 0;
-      case FaultKind::kEintr:
-        ++faults_this_transfer_;
-        return EINTR;
-      case FaultKind::kEio:
-        ++faults_this_transfer_;
-        return EIO;
-      case FaultKind::kEnospc:
-        ++faults_this_transfer_;
-        return op_.is_write ? ENOSPC : EIO;
-    }
-    return 0;
-  }
-
-  /// One failed attempt (an injected error models a syscall that moved
-  /// nothing). EINTR retries unconditionally — POSIX permits it on a healthy
-  /// device; transient errors consume the bounded budget with exponential
-  /// backoff, resuming from the last completed byte; exhaustion records the
-  /// typed failure. Returns false when the op is finished.
-  bool fail(int error, bool injected) {
-    if (error == EINTR) {
-      ++completion_.retries;  // mandatory POSIX handling, never budgeted
-      return true;
-    }
-    if (consecutive_failures_ < options_->retry.max_retries) {
-      ++consecutive_failures_;
-      ++completion_.retries;
-      if (backoff_us_ > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us_));
-        backoff_us_ = std::min<std::uint64_t>(
-            options_->retry.backoff_max_us,
-            static_cast<std::uint64_t>(static_cast<double>(backoff_us_) *
-                                       options_->retry.backoff_multiplier));
-      }
-      return true;
-    }
-    completion_.exhausted = 1;
-    completion_.error = error;
-    completion_.fail_offset = position();
-    completion_.attempts = consecutive_failures_ + 1;
-    completion_.injected = injected;
-    return false;
-  }
-
-  /// `moved` (> 0) bytes landed. A transfer that did not finish resumes
-  /// from the new cursor — that continuation counts as a retry.
-  void advance(std::size_t moved) {
-    PLFOC_REQUIRE(moved > 0,
-                  op_.is_write
-                      ? "pwrite transferred no bytes"
-                      : "pread hit end of vector file (file truncated?)");
-    if (moved < remaining()) ++completion_.retries;
-    consecutive_failures_ = 0;
-    backoff_us_ = options_->retry.backoff_initial_us;
-    done_ += moved;
-  }
-
- private:
-  AioOp op_;
-  const AioEngineOptions* options_ = nullptr;
-  std::size_t done_ = 0;  ///< bytes completed so far
-  unsigned consecutive_failures_ = 0;
-  unsigned faults_this_transfer_ = 0;
-  std::uint64_t backoff_us_ = 0;
-  AioCompletion completion_;
-};
-
-}  // namespace
-
+// Counter deltas accumulate in the completion (not backend atomics) and the
+// terminal failure is recorded there (not thrown): the thread-pool engine
+// runs this off the calling thread, where a throw would terminate the
+// process.
 AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
-  TransferState transfer(op, options);
-  while (transfer.remaining() > 0) {
-    std::size_t request = 0;
-    const int simulated_errno = transfer.next_attempt(&request);
-    ssize_t moved = -1;
-    int error = simulated_errno;
-    if (simulated_errno == 0) {
-      const int fd = pick_fd(op, transfer.position(), request,
-                             transfer.cursor());
-      const off_t position = static_cast<off_t>(transfer.position());
-      moved = op.is_write ? ::pwrite(fd, transfer.cursor(), request, position)
-                          : ::pread(fd, transfer.cursor(), request, position);
-      if (moved < 0) error = errno;
+  AioCompletion completion;
+  completion.token = op.token;
+  auto* injector = const_cast<FaultInjector*>(options.injector);
+  char* const buffer = static_cast<char*>(op.buffer);
+  std::size_t done = 0;  // bytes completed so far
+  unsigned consecutive_failures = 0;
+  unsigned faults_this_transfer = 0;
+  std::uint64_t backoff_us = options.retry.backoff_initial_us;
+  while (done < op.bytes) {
+    const std::size_t remaining = op.bytes - done;
+    const std::uint64_t position = op.offset + done;
+    // Consult the fault schedule before the attempt: an injected error
+    // models a syscall that moved nothing, an injected short transfer asks
+    // for fewer bytes.
+    std::size_t request = remaining;
+    int error = 0;
+    if (injector != nullptr) {
+      const FaultDecision fault = injector->next(op.is_write,
+                                                 faults_this_transfer);
+      if (fault.kind != FaultKind::kNone) ++completion.faults;
+      switch (fault.kind) {
+        case FaultKind::kNone:
+          break;
+        case FaultKind::kLatency:
+          // A stall, not an error: the transfer proceeds untouched and the
+          // spike does not count against the burst cap.
+          std::this_thread::sleep_for(
+              std::chrono::nanoseconds(options.latency_ns));
+          break;
+        case FaultKind::kShortTransfer:
+          ++faults_this_transfer;
+          if (request > 1)
+            request = 1 + static_cast<std::size_t>(
+                              fault.fraction *
+                              static_cast<double>(request - 1));
+          break;
+        case FaultKind::kEintr:
+          ++faults_this_transfer;
+          error = EINTR;
+          break;
+        case FaultKind::kEio:
+          ++faults_this_transfer;
+          error = EIO;
+          break;
+        case FaultKind::kEnospc:
+          ++faults_this_transfer;
+          error = op.is_write ? ENOSPC : EIO;
+          break;
+      }
     }
-    if (moved < 0) {
-      if (!transfer.fail(error, simulated_errno != 0)) break;
+    const bool injected = error != 0;
+    if (!injected) {
+      const ssize_t moved =
+          op.is_write ? ::pwrite(op.fd, buffer + done, request,
+                                 static_cast<off_t>(position))
+                      : ::pread(op.fd, buffer + done, request,
+                                static_cast<off_t>(position));
+      if (moved >= 0) {
+        PLFOC_REQUIRE(moved > 0,
+                      op.is_write
+                          ? "pwrite transferred no bytes"
+                          : "pread hit end of vector file (file truncated?)");
+        // A transfer that did not finish resumes from the new cursor — that
+        // continuation counts as a retry.
+        if (static_cast<std::size_t>(moved) < remaining) ++completion.retries;
+        consecutive_failures = 0;
+        backoff_us = options.retry.backoff_initial_us;
+        done += static_cast<std::size_t>(moved);
+        continue;
+      }
+      error = errno;
+    }
+    // A failed attempt. EINTR retries unconditionally — POSIX permits it on
+    // a healthy device; transient errors consume the bounded budget with
+    // exponential backoff, resuming from the last completed byte;
+    // exhaustion records the typed failure.
+    if (error == EINTR) {
+      ++completion.retries;  // mandatory POSIX handling, never budgeted
       continue;
     }
-    transfer.advance(static_cast<std::size_t>(moved));
+    if (consecutive_failures < options.retry.max_retries) {
+      ++consecutive_failures;
+      ++completion.retries;
+      if (backoff_us > 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+        backoff_us = std::min<std::uint64_t>(
+            options.retry.backoff_max_us,
+            static_cast<std::uint64_t>(static_cast<double>(backoff_us) *
+                                       options.retry.backoff_multiplier));
+      }
+      continue;
+    }
+    completion.exhausted = 1;
+    completion.error = error;
+    completion.fail_offset = position;
+    completion.attempts = consecutive_failures + 1;
+    completion.injected = injected;
+    break;
   }
-  return transfer.completion();
+  return completion;
 }
 
 namespace {
@@ -335,254 +284,12 @@ class ThreadPoolAioEngine final : public AioEngine {
   std::vector<std::thread> workers_;
 };
 
-#ifdef PLFOC_HAVE_URING
-
-int sys_io_uring_setup(unsigned entries, io_uring_params* params) {
-  return static_cast<int>(
-      ::syscall(__NR_io_uring_setup, entries, params));
-}
-
-int sys_io_uring_enter(int ring_fd, unsigned to_submit, unsigned min_complete,
-                       unsigned flags) {
-  return static_cast<int>(::syscall(__NR_io_uring_enter, ring_fd, to_submit,
-                                    min_complete, flags, nullptr, 0));
-}
-
-/// Linux io_uring backend over raw syscalls (the toolchain ships no
-/// liburing): one SQ/CQ ring pair, ops resubmitted from the completion
-/// handler on short transfers, EINTR, and budgeted transient errors — the
-/// TransferState machine run_transfer uses, driven by CQEs instead of a
-/// loop.
-/// Injected faults are decided at (re)submission: a simulated errno never
-/// reaches the kernel, it synthesizes a failed attempt inline.
-class UringAioEngine final : public AioEngine {
- public:
-  static std::unique_ptr<UringAioEngine> create(
-      const AioEngineOptions& options) {
-    auto engine = std::unique_ptr<UringAioEngine>(new UringAioEngine(options));
-    if (!engine->init()) return nullptr;
-    return engine;
-  }
-
-  ~UringAioEngine() override {
-    if (sq_ring_ != nullptr && sq_ring_ != MAP_FAILED)
-      ::munmap(sq_ring_, sq_ring_bytes_);
-    if (!single_mmap_ && cq_ring_ != nullptr && cq_ring_ != MAP_FAILED)
-      ::munmap(cq_ring_, cq_ring_bytes_);
-    if (sqes_ != nullptr && static_cast<void*>(sqes_) != MAP_FAILED)
-      ::munmap(sqes_, sqe_bytes_);
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-  }
-
-  const char* name() const override { return "uring"; }
-  unsigned depth() const override { return std::max(1u, options_.depth); }
-
-  void submit(const AioOp* ops, std::size_t count) override {
-    for (std::size_t i = 0; i < count; ++i) {
-      std::size_t slot;
-      if (!free_.empty()) {
-        slot = free_.back();
-        free_.pop_back();
-      } else {
-        slot = pending_.size();
-        pending_.emplace_back();
-      }
-      pending_[slot] = TransferState(ops[i], options_);
-      ++in_flight_;
-      if (ops[i].bytes == 0) {
-        finish(slot);
-        continue;
-      }
-      drive(slot);
-    }
-    flush(0);  // kick the kernel without waiting
-  }
-
-  std::size_t wait(AioCompletion* out, std::size_t max) override {
-    while (done_.empty() && in_flight_ > 0) {
-      flush(1);
-      reap();
-    }
-    std::size_t n = 0;
-    while (n < max && !done_.empty()) {
-      out[n++] = done_.front();
-      done_.pop_front();
-    }
-    return n;
-  }
-
- private:
-  explicit UringAioEngine(const AioEngineOptions& options)
-      : options_(options) {}
-
-  bool init() {
-    io_uring_params params;
-    std::memset(&params, 0, sizeof params);
-    const unsigned entries =
-        std::min(1024u, std::max(1u, options_.depth));
-    ring_fd_ = sys_io_uring_setup(entries, &params);
-    if (ring_fd_ < 0) return false;
-
-    sq_ring_bytes_ = params.sq_off.array + params.sq_entries * sizeof(__u32);
-    cq_ring_bytes_ =
-        params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    single_mmap_ = (params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-    if (single_mmap_)
-      sq_ring_bytes_ = cq_ring_bytes_ =
-          std::max(sq_ring_bytes_, cq_ring_bytes_);
-    sq_ring_ = ::mmap(nullptr, sq_ring_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-    if (sq_ring_ == MAP_FAILED) return false;
-    if (single_mmap_) {
-      cq_ring_ = sq_ring_;
-    } else {
-      cq_ring_ = ::mmap(nullptr, cq_ring_bytes_, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ring_fd_,
-                        IORING_OFF_CQ_RING);
-      if (cq_ring_ == MAP_FAILED) return false;
-    }
-    sqe_bytes_ = params.sq_entries * sizeof(io_uring_sqe);
-    sqes_ = static_cast<io_uring_sqe*>(
-        ::mmap(nullptr, sqe_bytes_, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES));
-    if (sqes_ == MAP_FAILED) return false;
-
-    char* sq = static_cast<char*>(sq_ring_);
-    sq_head_ = reinterpret_cast<unsigned*>(sq + params.sq_off.head);
-    sq_tail_ = reinterpret_cast<unsigned*>(sq + params.sq_off.tail);
-    sq_mask_ = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_mask);
-    sq_entries_ = *reinterpret_cast<unsigned*>(sq + params.sq_off.ring_entries);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + params.sq_off.array);
-    char* cq = static_cast<char*>(cq_ring_);
-    cq_head_ = reinterpret_cast<unsigned*>(cq + params.cq_off.head);
-    cq_tail_ = reinterpret_cast<unsigned*>(cq + params.cq_off.tail);
-    cq_mask_ = *reinterpret_cast<unsigned*>(cq + params.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<io_uring_cqe*>(cq + params.cq_off.cqes);
-    return true;
-  }
-
-  /// Run injection/retry steps for `slot` until an SQE is pushed or the op
-  /// finishes (success on zero remaining is impossible here; exhaustion ends
-  /// it). Simulated errnos synthesize a failed attempt without the kernel.
-  void drive(std::size_t slot) {
-    for (;;) {
-      TransferState& transfer = pending_[slot];
-      std::size_t request = 0;
-      const int simulated_errno = transfer.next_attempt(&request);
-      if (simulated_errno == 0) {
-        push_sqe(slot, request);
-        return;
-      }
-      if (!transfer.fail(simulated_errno, true)) {
-        finish(slot);
-        return;
-      }
-    }
-  }
-
-  void push_sqe(std::size_t slot, std::size_t request) {
-    // Ring full: hand what we have to the kernel first.
-    while (*sq_tail_ - __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE) >=
-           sq_entries_)
-      flush(1);
-    const TransferState& transfer = pending_[slot];
-    const unsigned tail = *sq_tail_;
-    const unsigned idx = tail & sq_mask_;
-    io_uring_sqe* sqe = &sqes_[idx];
-    std::memset(sqe, 0, sizeof *sqe);
-    sqe->opcode = transfer.op().is_write ? IORING_OP_WRITE : IORING_OP_READ;
-    sqe->fd = pick_fd(transfer.op(), transfer.position(), request,
-                      transfer.cursor());
-    sqe->addr = reinterpret_cast<std::uint64_t>(transfer.cursor());
-    sqe->len = static_cast<unsigned>(request);
-    sqe->off = transfer.position();
-    sqe->user_data = slot;
-    sq_array_[idx] = idx;
-    __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-    ++to_submit_;
-  }
-
-  void flush(unsigned min_complete) {
-    for (;;) {
-      const int rc = sys_io_uring_enter(ring_fd_, to_submit_, min_complete,
-                                        IORING_ENTER_GETEVENTS);
-      if (rc >= 0) {
-        to_submit_ -= static_cast<unsigned>(rc);
-        return;
-      }
-      PLFOC_REQUIRE(errno == EINTR, std::string("io_uring_enter failed: ") +
-                                        std::strerror(errno));
-    }
-  }
-
-  void reap() {
-    unsigned head = *cq_head_;
-    const unsigned tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-    std::vector<std::pair<std::size_t, int>> results;
-    while (head != tail) {
-      const io_uring_cqe& cqe = cqes_[head & cq_mask_];
-      results.emplace_back(static_cast<std::size_t>(cqe.user_data), cqe.res);
-      ++head;
-    }
-    __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-    for (const auto& [slot, res] : results) {
-      TransferState& transfer = pending_[slot];
-      if (res < 0) {
-        if (!transfer.fail(-res, false))
-          finish(slot);
-        else
-          drive(slot);
-        continue;
-      }
-      transfer.advance(static_cast<std::size_t>(res));
-      if (transfer.remaining() == 0)
-        finish(slot);
-      else
-        drive(slot);
-    }
-    if (to_submit_ > 0) flush(0);  // resubmissions from this reap
-  }
-
-  void finish(std::size_t slot) {
-    done_.push_back(pending_[slot].completion());
-    free_.push_back(slot);
-    --in_flight_;
-  }
-
-  AioEngineOptions options_;
-  int ring_fd_ = -1;
-  void* sq_ring_ = nullptr;
-  void* cq_ring_ = nullptr;
-  io_uring_sqe* sqes_ = nullptr;
-  std::size_t sq_ring_bytes_ = 0;
-  std::size_t cq_ring_bytes_ = 0;
-  std::size_t sqe_bytes_ = 0;
-  bool single_mmap_ = false;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned sq_mask_ = 0;
-  unsigned sq_entries_ = 0;
-  unsigned* sq_array_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned cq_mask_ = 0;
-  io_uring_cqe* cqes_ = nullptr;
-  unsigned to_submit_ = 0;
-  std::vector<TransferState> pending_;
-  std::vector<std::size_t> free_;
-  std::deque<AioCompletion> done_;
-  std::size_t in_flight_ = 0;
-};
-
-#endif  // PLFOC_HAVE_URING
-
 }  // namespace
 
 const char* aio_engine_name(AioEngineKind kind) {
   switch (kind) {
     case AioEngineKind::kSync: return "sync";
     case AioEngineKind::kThreads: return "threads";
-    case AioEngineKind::kUring: return "uring";
     case AioEngineKind::kDeterministic: return "deterministic";
   }
   return "?";
@@ -591,10 +298,9 @@ const char* aio_engine_name(AioEngineKind kind) {
 AioEngineKind parse_aio_engine(const std::string& name) {
   if (name == "sync") return AioEngineKind::kSync;
   if (name == "threads") return AioEngineKind::kThreads;
-  if (name == "uring") return AioEngineKind::kUring;
   if (name == "deterministic") return AioEngineKind::kDeterministic;
   throw Error("unknown I/O engine '" + name +
-              "' (expected sync | threads | uring | deterministic)");
+              "' (expected sync | threads | deterministic)");
 }
 
 void AioEngine::collect(AioCompletion* out, std::size_t count) {
@@ -608,31 +314,11 @@ void AioEngine::collect(AioCompletion* out, std::size_t count) {
   }
 }
 
-bool aio_uring_supported() {
-#ifdef PLFOC_HAVE_URING
-  io_uring_params params;
-  std::memset(&params, 0, sizeof params);
-  const int fd = sys_io_uring_setup(1, &params);
-  if (fd < 0) return false;
-  ::close(fd);
-  return true;
-#else
-  return false;
-#endif
-}
-
 std::unique_ptr<AioEngine> make_aio_engine(const AioEngineOptions& options) {
   switch (options.kind) {
     case AioEngineKind::kSync:
       return std::make_unique<SyncAioEngine>(options);
     case AioEngineKind::kThreads:
-      return std::make_unique<ThreadPoolAioEngine>(options);
-    case AioEngineKind::kUring:
-#ifdef PLFOC_HAVE_URING
-      if (auto engine = UringAioEngine::create(options)) return engine;
-#endif
-      // The kernel (or seccomp, or RLIMIT_MEMLOCK) refused the ring: degrade
-      // to the portable pool rather than failing the run.
       return std::make_unique<ThreadPoolAioEngine>(options);
     case AioEngineKind::kDeterministic:
       return std::make_unique<DeterministicAioEngine>(options);

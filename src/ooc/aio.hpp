@@ -10,14 +10,11 @@
 // path (FileBackend::submit_vector_ops) whatever the engine; the engines only
 // differ in how a batch's ops execute.
 //
-// Four backends share one contract:
+// Three backends share one contract:
 //   kSync          — ops execute one at a time, in submission order, at
 //                    submit(): the batched path at depth 1 (the default).
 //   kThreads       — a portable worker pool; completions arrive in whatever
 //                    order the workers finish.
-//   kUring         — Linux io_uring via raw syscalls (the container carries
-//                    no liburing); falls back to kThreads when the kernel
-//                    refuses io_uring_setup.
 //   kDeterministic — the test backend: ops execute eagerly in submission
 //                    order (so file mutation order is deterministic), but the
 //                    completions are buffered and delivered in a seed-chosen
@@ -32,10 +29,9 @@
 // consults the shared FaultInjector schedule before each syscall attempt and
 // carries its own RetryPolicy state (short-transfer resumption, unconditional
 // EINTR retry, bounded transient-error retry with exponential backoff) —
-// run_transfer below is that one loop, and the io_uring engine drives the
-// same state machine from its completions. Instead of throwing, an exhausted
-// op reports the final errno in its completion — the FileBackend turns that
-// into the typed IoError.
+// run_transfer below is that one loop, and every engine runs it. Instead of
+// throwing, an exhausted op reports the final errno in its completion — the
+// FileBackend turns that into the typed IoError.
 #pragma once
 
 #include <cstddef>
@@ -51,13 +47,12 @@ namespace plfoc {
 enum class AioEngineKind : std::uint8_t {
   kSync,
   kThreads,
-  kUring,
   kDeterministic,
 };
 
 const char* aio_engine_name(AioEngineKind kind);
-/// Parse "sync" | "threads" | "uring" | "deterministic" (the --io-engine
-/// vocabulary). Throws plfoc::Error on anything else.
+/// Parse "sync" | "threads" | "deterministic" (the --io-engine vocabulary).
+/// Throws plfoc::Error, listing those names, on anything else.
 AioEngineKind parse_aio_engine(const std::string& name);
 
 /// Reserved permutation seeds for the deterministic engine.
@@ -69,10 +64,6 @@ constexpr std::uint64_t kAioOrderReverse = 1;   ///< completions reversed
 struct AioOp {
   bool is_write = false;
   int fd = -1;
-  /// O_DIRECT sibling of `fd`, or -1. Attempts whose position, length and
-  /// buffer are all 512-aligned go through it; others use the buffered fd
-  /// (an injected short transfer can break alignment mid-op).
-  int direct_fd = -1;
   void* buffer = nullptr;
   std::size_t bytes = 0;
   std::uint64_t offset = 0;
@@ -97,8 +88,8 @@ struct AioCompletion {
 
 struct AioEngineOptions {
   AioEngineKind kind = AioEngineKind::kSync;
-  /// Queue depth: worker count (kThreads) / ring size (kUring). Clamped to
-  /// at least 1.
+  /// Queue depth: worker count (kThreads) / batch limit (kDeterministic).
+  /// Clamped to at least 1.
   unsigned depth = 8;
   /// Completion-delivery permutation seed (kDeterministic only).
   std::uint64_t permute_seed = kAioOrderIdentity;
@@ -119,8 +110,8 @@ class AioEngine {
   virtual ~AioEngine() = default;
   virtual const char* name() const = 0;
   /// How many ops the engine keeps in flight at once: 1 for kSync, the
-  /// worker count / ring size / configured depth for the others. Callers
-  /// size their batches by it (the prefetcher's batch limit).
+  /// worker count / configured depth for the others. Callers size their
+  /// batches by it (the prefetcher's batch limit).
   virtual unsigned depth() const = 0;
   /// Enqueue `count` ops. May begin — or, for the sync and deterministic
   /// engines, fully perform — execution before returning.
@@ -133,16 +124,14 @@ class AioEngine {
   void collect(AioCompletion* out, std::size_t count);
 };
 
-/// The per-op retry/injection state machine every engine runs (io_uring
-/// drives the same steps from its completion queue): loops over short
+/// The per-op retry/injection loop every engine runs: loops over short
 /// transfers and EINTR, retries transient errors per options.retry, and
 /// consults options.injector before each attempt. Counter deltas accumulate
 /// in the completion; exhaustion is reported there, never thrown, so it is
 /// safe on an engine's worker threads.
 AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options);
 
-/// Build an engine. kUring silently degrades to kThreads when io_uring is
-/// unavailable (old kernel, seccomp, resource limits) — name() tells.
+/// Build an engine of options.kind.
 std::unique_ptr<AioEngine> make_aio_engine(const AioEngineOptions& options);
 
 /// One AioEngine shared by several FileBackends (the service layer's worker
@@ -152,8 +141,8 @@ std::unique_ptr<AioEngine> make_aio_engine(const AioEngineOptions& options);
 /// within a batch still overlap, which is where the parallelism is. A store
 /// only adopts the handle when it has no fault schedule of its own (the
 /// engine binds the injector/retry/latency it was built with), and its
-/// resolved `kind`/`depth` must match the store's request — FileBackend
-/// checks both and quietly keeps a private engine otherwise.
+/// `kind`/`depth` must match the store's request — FileBackend checks both
+/// and quietly keeps a private engine otherwise.
 struct AioEngineHandle {
   AioEngineKind kind = AioEngineKind::kSync;  ///< kind the engine was built as
   unsigned depth = 1;
@@ -165,8 +154,5 @@ struct AioEngineHandle {
 /// null for kSync — an inline engine has no state worth sharing.
 std::shared_ptr<AioEngineHandle> make_shared_aio_engine(AioEngineKind kind,
                                                         unsigned depth);
-
-/// True when this host can set up an io_uring instance right now.
-bool aio_uring_supported();
 
 }  // namespace plfoc

@@ -119,17 +119,6 @@ FileBackend::FileBackend(std::size_t count, std::size_t bytes_per_vector,
     fds_.push_back(fd);
     paths_.push_back(std::move(path));
   }
-  if (options_.direct_io) {
-    // Best effort: a filesystem may refuse O_DIRECT (tmpfs does); -1 routes
-    // every attempt through the buffered fd.
-    for (const std::string& path : paths_) {
-#ifdef O_DIRECT
-      direct_fds_.push_back(::open(path.c_str(), O_RDWR | O_DIRECT));
-#else
-      direct_fds_.push_back(-1);
-#endif
-    }
-  }
 
   transfer_options_.kind = options_.io_engine;
   transfer_options_.depth = options_.io_depth < 1 ? 1 : options_.io_depth;
@@ -237,20 +226,9 @@ FileBackend::~FileBackend() {
   // batches complete synchronously inside submit_vector_ops, so nothing in
   // the pool references our fds past that call.
   shared_engine_.reset();
-  for (int fd : direct_fds_)
-    if (fd >= 0) ::close(fd);
   for (int fd : fds_) ::close(fd);
   if (options_.remove_on_close)
     for (const std::string& path : paths_) ::unlink(path.c_str());
-}
-
-const char* FileBackend::io_engine_name() const {
-  if (shared_engine_ != nullptr) {
-    MutexLock lock(shared_engine_->mutex);
-    return shared_engine_->engine->name();
-  }
-  MutexLock lock(engine_mutex_);
-  return engine_->name();
 }
 
 FileBackend::Location FileBackend::locate(std::uint32_t index) const {
@@ -356,7 +334,6 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
     AioOp aio;
     aio.is_write = op.is_write;
     aio.fd = loc.fd;
-    aio.direct_fd = direct_fd(loc.file);
     aio.buffer = op.buffer;
     aio.bytes = bytes_per_vector_;
     aio.offset = payload_base + loc.offset;
@@ -887,15 +864,6 @@ FsckReport FileBackend::fsck(const std::string& path) {
   }
   ::close(fd);
   return report;
-}
-
-void FileBackend::drop_page_cache() {
-  for (int fd : fds_) {
-    ::fsync(fd);
-#ifdef POSIX_FADV_DONTNEED
-    ::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
-#endif
-  }
 }
 
 void FileBackend::sync() {

@@ -67,15 +67,11 @@ struct FileBackendOptions {
   /// (docs/async-io.md). kSync is the batched path at depth 1: a batch's ops
   /// run inline, one at a time, in submission order.
   AioEngineKind io_engine = AioEngineKind::kSync;
-  /// Queue depth for the threads/uring/deterministic engines (worker count
-  /// / ring size); the sync engine always runs at depth 1.
+  /// Queue depth for the threads/deterministic engines (worker count /
+  /// batch limit); the sync engine always runs at depth 1.
   unsigned io_depth = 8;
   /// Completion-delivery permutation seed (kDeterministic engine only).
   std::uint64_t io_permute_seed = kAioOrderIdentity;
-  /// Also open O_DIRECT descriptors and route 512-aligned attempts through
-  /// them, bypassing the page cache (best effort: falls back to the buffered
-  /// fd when the open or the alignment fails).
-  bool direct_io = false;
   /// Optional engine shared with other FileBackends (the service layer's
   /// worker Sessions all batch through one pool instead of spawning
   /// io_depth workers per store). Adopted only when this backend has no
@@ -185,12 +181,9 @@ class FileBackend {
   /// Throw the typed IoError ("pwrite"/"pread") an op's failure records.
   static void throw_if_failed(const VectorOp& op);
 
-  /// Ops the resolved engine keeps in flight at once (AioEngine::depth():
-  /// 1 for sync).
+  /// Ops the engine keeps in flight at once (AioEngine::depth(): 1 for
+  /// sync).
   unsigned io_depth() const { return io_depth_; }
-  /// Resolved engine name ("sync", "threads", "uring", "deterministic") —
-  /// reflects a uring→threads runtime fallback.
-  const char* io_engine_name() const;
 
   /// Verified whole-vector read (a one-op batch with `verify` set): reads
   /// the payload, applies any scheduled read-side corruption, then checks
@@ -224,10 +217,6 @@ class FileBackend {
   };
   void write_ranges_clustered(const IoRange* ranges, std::size_t count,
                               const void* base);
-
-  /// Ask the OS to drop its page cache for the backing files so subsequent
-  /// reads hit the device (benchmark cold-cache mode). Best effort.
-  void drop_page_cache();
 
   /// fsync all backing files.
   void sync();
@@ -364,12 +353,6 @@ class FileBackend {
   VerifyResult classify_mismatch(unsigned file_index, std::uint64_t block,
                                  bool injected_now);
 
-  /// O_DIRECT sibling fd of stripe `file_index`, or -1 (direct_io off, or
-  /// the open failed — tmpfs, for one, refuses O_DIRECT).
-  int direct_fd(unsigned file_index) const {
-    return direct_fds_.empty() ? -1 : direct_fds_[file_index];
-  }
-
   std::size_t count_;
   std::size_t bytes_per_vector_;
   FileBackendOptions options_;
@@ -378,9 +361,8 @@ class FileBackend {
   /// itself (transfer_all, one-transfer batches) and for the private engine,
   /// which is built from the same options.
   AioEngineOptions transfer_options_;
-  unsigned io_depth_ = 1;  ///< the resolved engine's depth()
+  unsigned io_depth_ = 1;  ///< the engine's depth()
   std::vector<int> fds_;
-  std::vector<int> direct_fds_;  ///< empty when direct_io is off
   std::vector<std::string> paths_;
   std::vector<FileIntegrity> integrity_;  ///< empty when integrity is off
   std::unique_ptr<FaultInjector> injector_;  ///< null: injection disabled

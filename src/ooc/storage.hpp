@@ -16,8 +16,11 @@
 //    or read its existing contents (AccessMode::kRead).
 //
 // Backends: InRamStore (the "standard" RAxML layout, everything resident),
-// OutOfCoreStore (the paper's slot manager), PagedStore (the OS-paging
-// baseline of Fig. 5, simulated deterministically at 4 KiB page granularity).
+// OutOfCoreStore (the paper's slot manager), TieredStore (the Sec. 5
+// disk/RAM/accelerator hierarchy), PagedStore (the OS-paging baseline of
+// Fig. 5, simulated deterministically at 4 KiB page granularity). Every
+// file-backed store reaches its file through a FileBackend; the slot tables
+// move whole vectors only through FileBackend::submit_vector_ops.
 #pragma once
 
 #include <cstdint>

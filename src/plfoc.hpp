@@ -32,7 +32,6 @@
 #include "msa/patterns.hpp"            // IWYU pragma: export
 #include "msa/phylip.hpp"              // IWYU pragma: export
 #include "ooc/inram_store.hpp"         // IWYU pragma: export
-#include "ooc/mmap_store.hpp"            // IWYU pragma: export
 #include "ooc/ooc_store.hpp"           // IWYU pragma: export
 #include "ooc/paged_store.hpp"         // IWYU pragma: export
 #include "ooc/prefetch.hpp"            // IWYU pragma: export

@@ -91,9 +91,7 @@ Backend parse_backend_name(const std::string& name) {
   if (name == "ooc") return Backend::kOutOfCore;
   if (name == "paged") return Backend::kPaged;
   if (name == "tiered") return Backend::kTiered;
-  if (name == "mmap") return Backend::kMmap;
-  throw Error("unknown backend '" + name +
-              "' (inram | ooc | paged | tiered | mmap)");
+  throw Error("unknown backend '" + name + "' (inram | ooc | paged | tiered)");
 }
 
 DataType parse_data_type_name(const std::string& name) {

@@ -7,7 +7,7 @@
 //   msa      alignment file path
 //   tree     Newick file path, or '-' for a stepwise-addition starting tree
 //   model    jc | k80 | hky | gtr | poisson
-//   backend  inram | ooc | paged | tiered | mmap
+//   backend  inram | ooc | paged | tiered
 //   f        RAM fraction in (0,1], or '-' when unset (pair with budget=)
 //
 // Optional keys: name=, seed=, format= (fasta|phylip), data-type=
@@ -17,7 +17,7 @@
 // jobfile fields split on whitespace), io-retries= (per-job retry budget;
 // 0 disables retrying), threads= (kernel threads for this job; unset lines
 // inherit the batch --threads default — see docs/parallelism.md),
-// io-engine= (sync|threads|uring|deterministic; unset lines inherit the
+// io-engine= (sync|threads|deterministic; unset lines inherit the
 // batch --io-engine default), io-depth= (async submission-queue depth;
 // unset lines inherit --io-depth — see docs/async-io.md) and deadline=
 // (relative deadline in seconds, armed when the service accepts the job;

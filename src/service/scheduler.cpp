@@ -36,8 +36,6 @@ std::uint64_t JobDemand::desired_bytes() const {
     case Backend::kTiered:
       return memory.ooc_slot_bytes(std::min(tiered_fast_slots, count) +
                                    std::min(tiered_ram_slots, count));
-    case Backend::kMmap:
-      return 0;  // OS page cache; not slot memory this service manages
   }
   return 0;
 }
@@ -46,8 +44,6 @@ std::uint64_t JobDemand::minimum_bytes() const {
   switch (backend) {
     case Backend::kPaged:
       return memory.min_paged_bytes(page_bytes);
-    case Backend::kMmap:
-      return 0;
     default:
       return memory.min_ooc_bytes();
   }

@@ -36,7 +36,6 @@ void SessionOptions::validate() const {
       break;
     case Backend::kInRam:
     case Backend::kTiered:
-    case Backend::kMmap:
       break;  // memory-limit fields are ignored by these backends
   }
 }
@@ -86,7 +85,6 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       ooc.file.io_engine = options_.io_engine;
       ooc.file.io_depth = options_.io_depth;
       ooc.file.io_permute_seed = options_.io_permute_seed;
-      ooc.file.direct_io = options_.direct_io;
       ooc.file.shared_engine = options_.shared_aio_engine;
       store_ = std::make_unique<OutOfCoreStore>(count, width, std::move(ooc));
       break;
@@ -105,7 +103,6 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       paged.file.io_engine = options_.io_engine;
       paged.file.io_depth = options_.io_depth;
       paged.file.io_permute_seed = options_.io_permute_seed;
-      paged.file.direct_io = options_.direct_io;
       paged.file.shared_engine = options_.shared_aio_engine;
       store_ = std::make_unique<PagedStore>(count, width, std::move(paged));
       break;
@@ -129,18 +126,8 @@ Session::Session(Alignment alignment, Tree tree, SubstitutionModel model,
       tiered.file.io_engine = options_.io_engine;
       tiered.file.io_depth = options_.io_depth;
       tiered.file.io_permute_seed = options_.io_permute_seed;
-      tiered.file.direct_io = options_.direct_io;
       tiered.file.shared_engine = options_.shared_aio_engine;
       store_ = std::make_unique<TieredStore>(count, width, std::move(tiered));
-      break;
-    }
-    case Backend::kMmap: {
-      MmapStoreOptions mm;
-      mm.file_path = options_.vector_file.empty()
-                         ? temp_vector_file_path("mmap")
-                         : options_.vector_file;
-      mm.integrity = options_.integrity;
-      store_ = std::make_unique<MmapStore>(count, width, std::move(mm));
       break;
     }
   }

@@ -17,7 +17,6 @@
 #include "ooc/inram_store.hpp"
 #include "ooc/ooc_store.hpp"
 #include "ooc/paged_store.hpp"
-#include "ooc/mmap_store.hpp"
 #include "ooc/tiered_store.hpp"
 
 namespace plfoc {
@@ -27,7 +26,6 @@ enum class Backend {
   kOutOfCore,  ///< the paper's slot manager
   kPaged,      ///< deterministic OS-paging baseline (Fig. 5 "Standard")
   kTiered,     ///< three-layer disk/RAM/accelerator hierarchy (Sec. 5)
-  kMmap,       ///< memory-mapped file, OS page cache does the caching
 };
 
 struct SessionOptions {
@@ -67,13 +65,13 @@ struct SessionOptions {
   DeviceModel device;
   /// Seeded fault-injection schedule applied to the backing file of every
   /// file-backed backend (out-of-core / paged / tiered); disabled by default.
-  /// The mmap and in-RAM backends have no syscall I/O path and ignore it.
+  /// The in-RAM backend has no file and ignores it.
   FaultConfig faults;
-  /// Per-vector checksums on the backing file (out-of-core / paged / tiered)
-  /// and on the mmap mapping, verified at swap-in / re-fault; a mismatch
-  /// triggers self-healing recomputation through the likelihood engine before
-  /// surfacing as IntegrityError (see docs/robustness.md). Corruption
-  /// injection (faults flip=/torn=/zero=/stale=) requires this on.
+  /// Per-vector checksums on the backing file (out-of-core / paged / tiered),
+  /// verified at swap-in; a mismatch triggers self-healing recomputation
+  /// through the likelihood engine before surfacing as IntegrityError (see
+  /// docs/robustness.md). Corruption injection (faults flip=/torn=/zero=/
+  /// stale=) requires this on.
   bool integrity = true;
   /// Retry budget + backoff for transient backing-file errors (injected or
   /// real). max_retries = 0 disables retrying: the first transient error
@@ -82,18 +80,13 @@ struct SessionOptions {
   /// I/O engine for the backing file of every file-backed backend
   /// (out-of-core / paged / tiered): kSync is the batched path at depth 1
   /// (ops inline, one at a time); kThreads is the portable thread pool;
-  /// kUring is Linux io_uring (degrades to kThreads when the host lacks
-  /// support); kDeterministic is the test engine that delivers completions
-  /// in a seeded permutation (docs/async-io.md).
+  /// kDeterministic is the test engine that delivers completions in a
+  /// seeded permutation (docs/async-io.md).
   AioEngineKind io_engine = AioEngineKind::kSync;
   /// Submission-queue depth (clamped to >= 1; kSync always runs at 1).
   unsigned io_depth = 8;
   /// Completion-delivery permutation seed (deterministic engine only).
   std::uint64_t io_permute_seed = kAioOrderIdentity;
-  /// Open a second O_DIRECT descriptor per backing file and route
-  /// 512-byte-aligned transfers through it (best effort: misaligned
-  /// attempts and hosts without O_DIRECT fall back to buffered I/O).
-  bool direct_io = false;
   /// Optional shared async-I/O engine (see AioEngineHandle in ooc/aio.hpp):
   /// when set, the session's file-backed store adopts this engine instead of
   /// building a private one — the service tier passes one handle to every
@@ -150,7 +143,6 @@ class Session {
   }
   PagedStore* paged() { return dynamic_cast<PagedStore*>(store_.get()); }
   TieredStore* tiered() { return dynamic_cast<TieredStore*>(store_.get()); }
-  MmapStore* mmap_backend() { return dynamic_cast<MmapStore*>(store_.get()); }
 
   std::size_t patterns() const { return alignment_.num_sites(); }
   std::size_t vector_width() const { return store_->width(); }

@@ -189,11 +189,10 @@ struct Candidate {
 /// read-skip setting for the out-of-core store (fault schedule on every
 /// other combination, kernel threads rotating through 1/2/4, io-engine
 /// rotating through sync / thread-pool / deterministic-permuted), the paged
-/// and tiered hierarchies under faults, the mmap backend (no syscall path,
-/// no faults), explicitly multithreaded and permuted-completion
-/// configurations, and a prefetch axis (policy x engine with a Prefetcher
-/// attached, covering the on_prefetch_install aging path). 18 candidates per
-/// trial, every one compared bitwise against the single-threaded in-RAM
+/// and tiered hierarchies under faults, explicitly multithreaded and
+/// permuted-completion configurations, and a prefetch axis (policy x engine
+/// with a Prefetcher attached, covering the on_prefetch_install aging path).
+/// 17 candidates per trial, every one compared bitwise against the single-threaded in-RAM
 /// reference — the thread axis extends the Sec. 4.1 equivalence guarantee to
 /// the block-parallel kernels, and the engine axis extends it to
 /// batched/overlapped submission with arbitrary completion delivery order
@@ -268,11 +267,6 @@ inline std::vector<Candidate> make_candidates(const TrialPlan& plan) {
   tiered_det.options.io_permute_seed = plan.fault_seed ^ 0x5eedu;
   tiered_det.label = "tiered/faults/eng-det";
   candidates.push_back(std::move(tiered_det));
-
-  Candidate mmapped;
-  mmapped.options.backend = Backend::kMmap;
-  mmapped.label = "mmap";
-  candidates.push_back(std::move(mmapped));
 
   // Explicit thread-count candidates: the parallel path on the reference's
   // own backend, and 4-thread runs through the eviction-heavy stores.

@@ -5,7 +5,7 @@
 //  * Engine-level: the AioEngine contract itself — submission/completion
 //    matching, the sync engine's FIFO order, the deterministic engine's
 //    seed-chosen delivery permutations (seed 0 identity, seed 1 reversed,
-//    replayable otherwise), the thread-pool and io_uring backends, and the
+//    replayable otherwise), the thread-pool backend, and the
 //    per-op fault/retry state machine at submission granularity.
 //
 //  * Store-level: the completion-order determinism contract. Every
@@ -103,11 +103,11 @@ bool is_permutation_of_tokens(std::vector<std::uint64_t> order,
 
 TEST(AioEngine, NameParseRoundTrip) {
   const AioEngineKind kinds[] = {AioEngineKind::kSync, AioEngineKind::kThreads,
-                                 AioEngineKind::kUring,
                                  AioEngineKind::kDeterministic};
   for (const AioEngineKind kind : kinds)
     EXPECT_EQ(parse_aio_engine(aio_engine_name(kind)), kind);
   EXPECT_THROW(parse_aio_engine("bogus"), Error);
+  EXPECT_THROW(parse_aio_engine("uring"), Error);
   EXPECT_THROW(parse_aio_engine(""), Error);
 }
 
@@ -213,22 +213,6 @@ TEST(AioEngine, ThreadPoolCompletesWritesAndReads) {
                       static_cast<off_t>(i * kSpan)),
               static_cast<ssize_t>(kSpan));
   EXPECT_EQ(std::memcmp(check.data(), source.data(), source.size()), 0);
-}
-
-TEST(AioEngine, UringBackendOrFallback) {
-  ScratchFile file(8 * kSpan);
-  AioEngineOptions options;
-  options.kind = AioEngineKind::kUring;
-  options.depth = 8;
-  auto engine = make_aio_engine(options);
-  if (aio_uring_supported()) {
-    EXPECT_STREQ(engine->name(), "uring");
-  } else {
-    // The documented degradation: no io_uring -> the portable pool.
-    EXPECT_STREQ(engine->name(), "threads");
-  }
-  const std::vector<std::uint64_t> order = delivery_order(*engine, file, 8);
-  EXPECT_TRUE(is_permutation_of_tokens(order, 8));
 }
 
 TEST(AioEngine, InjectedTransientsRecoverWithinRetryBudget) {
@@ -593,7 +577,7 @@ TEST(AioShared, MismatchOrFaultInjectionKeepsPrivateEngine) {
   EXPECT_FALSE(depth_mismatch.shared_engine_active());
 
   options.io_depth = 4;
-  options.io_engine = AioEngineKind::kUring;  // kind mismatch
+  options.io_engine = AioEngineKind::kDeterministic;  // kind mismatch
   options.base_path = temp_vector_file_path("aio-private-kind");
   FileBackend kind_mismatch(4, width * sizeof(double), options);
   EXPECT_FALSE(kind_mismatch.shared_engine_active());
@@ -744,11 +728,8 @@ TEST(AioPermutations, AsyncEnginesBitIdenticalToSyncBaseline) {
   reference.backend = Backend::kInRam;
   const std::vector<double> expected = fuzz::run_candidate(plan, reference);
 
-  // kUring degrades to the thread pool when the host refuses io_uring, so
-  // this sweep is valid (and still asserts bit-identity) either way.
   const AioEngineKind engines[] = {AioEngineKind::kSync,
-                                   AioEngineKind::kThreads,
-                                   AioEngineKind::kUring};
+                                   AioEngineKind::kThreads};
   for (const AioEngineKind engine : engines) {
     SessionOptions ooc;
     ooc.backend = Backend::kOutOfCore;

@@ -1,9 +1,9 @@
-// Differential equivalence fuzzer (the ISSUE's tentpole test): randomized
-// trees, models, and traversal workloads evaluated on every backend x
-// replacement strategy x read-skip setting, with seeded fault schedules on
-// the file-backed candidates, asserting BIT-identical log likelihoods
-// against the InRamStore reference (Sec. 4.1). Default scale: 20 trials x 15
-// candidates = 300 randomized cases (the roster carries a kernel-thread axis
+// Differential equivalence fuzzer: randomized trees, models, and traversal
+// workloads evaluated on every backend x replacement strategy x read-skip
+// setting, with seeded fault schedules on the file-backed candidates,
+// asserting BIT-identical log likelihoods against the InRamStore reference
+// (Sec. 4.1). Default scale: 20 trials x 17 candidates = 340 randomized
+// cases (the roster carries a kernel-thread axis
 // and an io-engine axis — sync / thread-pool / deterministic-permuted
 // completions; every fourth trial draws a multi-block alignment so the
 // parallel reduction itself is exercised). Every candidate label carries its

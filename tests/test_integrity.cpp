@@ -24,7 +24,6 @@
 #include "cli/driver.hpp"
 #include "ooc/audit.hpp"
 #include "ooc/file_backend.hpp"
-#include "ooc/mmap_store.hpp"
 #include "ooc/ooc_store.hpp"
 #include "ooc/paged_store.hpp"
 #include "service/service.hpp"
@@ -495,91 +494,6 @@ TEST(OocRecovery, SessionSelfHealsBitIdentical) {
   EXPECT_GT(recoveries, 0u)
       << "no corruption seed in 1..30 ever exercised a recovery";
   EXPECT_GE(recomputes, recoveries);
-}
-
-// ---------------------------------------------------------------------------
-// MmapStore: residency-gated verification on the re-fault path.
-
-TEST(MmapIntegrity, RecoversCorruptedSpanThroughHook) {
-  constexpr std::size_t kMmapWidth = 512;  // 4096 B: one aligned page
-  MmapStoreOptions options;
-  options.file_path = temp_vector_file_path("mmap-heal");
-  MmapStore store(4, kMmapWidth, options);
-  std::uint32_t hook_calls = 0;
-  store.set_recovery_hook([&](std::uint32_t, double* dst) {
-    ++hook_calls;
-    for (std::size_t i = 0; i < kMmapWidth; ++i)
-      dst[i] = 7.0 + static_cast<double>(i);
-    return std::uint64_t{1};
-  });
-
-  {
-    VectorLease lease = store.acquire(0, AccessMode::kWrite);
-    for (std::size_t i = 0; i < kMmapWidth; ++i)
-      lease.data()[i] = static_cast<double>(i);
-  }  // release records the checksum and bumps the generation
-
-  // Corrupt the record on the device, then push the span out of the page
-  // cache so the next read acquire re-faults and re-verifies.
-  const int fd = ::open(options.file_path.c_str(), O_WRONLY);
-  ASSERT_GE(fd, 0);
-  const double wrong = -1.0;
-  ASSERT_EQ(::pwrite(fd, &wrong, sizeof(wrong), 0),
-            static_cast<ssize_t>(sizeof(wrong)));
-  ::fsync(fd);  // a dirty page-cache page would survive DONTNEED
-  ::close(fd);
-  for (int i = 0; i < 3 && store.span_resident(0); ++i) store.drop_residency(0);
-  if (store.span_resident(0))
-    GTEST_SKIP() << "kernel kept the span resident; eviction is best-effort";
-
-  {
-    VectorLease lease = store.acquire(0, AccessMode::kRead);
-    EXPECT_EQ(lease.data()[0], 7.0);  // the healed content, not -1.0
-    EXPECT_EQ(lease.data()[1], 8.0);
-  }
-  EXPECT_EQ(hook_calls, 1u);
-  const OocStats stats = store.stats_snapshot();
-  EXPECT_EQ(stats.integrity_failures, 1u);
-  EXPECT_EQ(stats.integrity_recoveries, 1u);
-  EXPECT_EQ(stats.integrity_unrecovered, 0u);
-}
-
-TEST(MmapIntegrity, NoHookFailsTyped) {
-  constexpr std::size_t kMmapWidth = 512;
-  MmapStoreOptions options;
-  options.file_path = temp_vector_file_path("mmap-typed");
-  MmapStore store(4, kMmapWidth, options);
-  {
-    VectorLease lease = store.acquire(1, AccessMode::kWrite);
-    for (std::size_t i = 0; i < kMmapWidth; ++i)
-      lease.data()[i] = static_cast<double>(i);
-  }
-  const int fd = ::open(options.file_path.c_str(), O_WRONLY);
-  ASSERT_GE(fd, 0);
-  const double wrong = -2.0;
-  ASSERT_EQ(::pwrite(fd, &wrong, sizeof(wrong),
-                     static_cast<off_t>(kMmapWidth * sizeof(double))),
-            static_cast<ssize_t>(sizeof(wrong)));
-  ::fsync(fd);  // a dirty page-cache page would survive DONTNEED
-  ::close(fd);
-  for (int i = 0; i < 3 && store.span_resident(1); ++i) store.drop_residency(1);
-  if (store.span_resident(1))
-    GTEST_SKIP() << "kernel kept the span resident; eviction is best-effort";
-
-  try {
-    VectorLease lease = store.acquire(1, AccessMode::kRead);
-    FAIL() << "re-faulted corrupt span returned normally";
-  } catch (const IntegrityError& error) {
-    EXPECT_EQ(error.op(), "mmap fault-in");
-    EXPECT_EQ(error.index(), 1u);
-    EXPECT_FALSE(error.injected());  // media damage, not an injector decision
-  }
-  const OocStats stats = store.stats_snapshot();
-  EXPECT_EQ(stats.integrity_failures, 1u);
-  EXPECT_EQ(stats.integrity_unrecovered, 1u);
-  // Other vectors remain serviceable after the typed failure.
-  VectorLease other = store.acquire(2, AccessMode::kWrite);
-  other.data()[0] = 1.0;
 }
 
 // ---------------------------------------------------------------------------

@@ -608,13 +608,24 @@ TEST_F(LoopbackFixture, BadSubmissionsGetTypedErrorsNotCrashes) {
   ASSERT_TRUE(mismatch.error.has_value());
   EXPECT_NE(mismatch.error->message.find("digest"), std::string::npos);
 
-  // The connection survived all three rejections.
+  // A backend name outside inram | ooc | paged | tiered.
+  request = submit_request_from_entry(entry, "t", 4);
+  request.backend = "mmap";
+  client.submit(request);
+  const ClientResponse bad_backend = client.wait(4);
+  ASSERT_TRUE(bad_backend.error.has_value());
+  EXPECT_EQ(bad_backend.error->code, WireErrorCode::kBadRequest);
+  EXPECT_NE(bad_backend.error->message.find("unknown backend"),
+            std::string::npos)
+      << bad_backend.error->message;
+
+  // The connection survived all four rejections.
   client.ping();
   // And the server still evaluates good jobs.
   entry.model = "jc";
   entry.msa_path = msa_path_;
-  client.submit(submit_request_from_entry(entry, "t", 4));
-  const ClientResponse good = client.wait(4);
+  client.submit(submit_request_from_entry(entry, "t", 5));
+  const ClientResponse good = client.wait(5);
   ASSERT_TRUE(good.result.has_value());
   EXPECT_EQ(good.result->status, static_cast<std::uint8_t>(JobStatus::kDone));
   server.stop();

@@ -546,6 +546,7 @@ TEST(Jobfile, RejectsMalformedLinesWithLineNumbers) {
   expect_error("a.fasta t.nwk gtr\n", "expected");
   expect_error("a.fasta t.nwk gtr ooc 1.5\n", "(0, 1]");
   expect_error("a.fasta t.nwk gtr warp 0.5\n", "unknown backend");
+  expect_error("a.fasta t.nwk gtr mmap 0.5\n", "unknown backend");
   expect_error("a.fasta t.nwk gtr ooc 0.5 bogus=1\n", "unknown option");
   expect_error("a.fasta t.nwk gtr ooc 0.5 seed=xyz\n", "bad integer");
   // A policy typo is line-tagged AND spells out the accepted vocabulary.
