@@ -18,7 +18,7 @@ namespace plfoc {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'L', 'F', 'C'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 constexpr std::size_t kTrailerBytes = 8;
 constexpr std::uint64_t kTrailerSeed = 0x504c4643ull;  // "PLFC"
 
@@ -132,6 +132,14 @@ Checkpoint read_checkpoint(std::istream& stream) {
                 "checkpoint: bad magic (not a plfoc checkpoint)");
   PLFOC_REQUIRE(bytes.size() >= 4 + 4 + kTrailerBytes,
                 "checkpoint: truncated file");
+  // The version decides how the trailer is computed, so it is checked first:
+  // an older checkpoint is refused as such, not as corrupted.
+  std::uint32_t version = 0;
+  for (std::size_t i = 0; i < 4; ++i)
+    version |= std::uint32_t{static_cast<unsigned char>(bytes[4 + i])}
+               << (8 * i);
+  PLFOC_REQUIRE(version == kVersion,
+                "checkpoint: unsupported version " + std::to_string(version));
   const std::string body = bytes.substr(0, bytes.size() - kTrailerBytes);
   std::uint64_t recorded = 0;
   for (std::size_t i = 0; i < kTrailerBytes; ++i)
@@ -141,12 +149,9 @@ Checkpoint read_checkpoint(std::istream& stream) {
   PLFOC_REQUIRE(recorded == trailer_checksum(body),
                 "checkpoint: checksum mismatch (truncated or corrupted file)");
   std::istringstream in(body);
-  in.ignore(4);  // magic
+  in.ignore(8);  // magic, version
   Checkpoint checkpoint;
-  checkpoint.version = get_u32(in);
-  PLFOC_REQUIRE(checkpoint.version == kVersion,
-                "checkpoint: unsupported version " +
-                    std::to_string(checkpoint.version));
+  checkpoint.version = version;
   checkpoint.model.type = get_u32(in) == 0 ? DataType::kDna : DataType::kProtein;
   checkpoint.model.name = get_string(in);
   checkpoint.model.frequencies.resize(get_u32(in));

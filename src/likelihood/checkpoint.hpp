@@ -24,9 +24,10 @@
 namespace plfoc {
 
 struct Checkpoint {
-  /// Format version; write_checkpoint always writes the current one (2:
-  /// v1 plus the checksum trailer) and read_checkpoint accepts only it.
-  std::uint32_t version = 2;
+  /// Format version; write_checkpoint always writes the current one (3:
+  /// v2's layout with the lane-parallel checksum64 trailer; v2 added the
+  /// trailer to v1) and read_checkpoint accepts only it.
+  std::uint32_t version = 3;
   SubstitutionModel model;
   unsigned categories = 4;
   double alpha = 1.0;

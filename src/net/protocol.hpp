@@ -42,10 +42,12 @@ namespace plfoc {
 inline constexpr std::uint32_t kProtocolMagic = 0x4e464c50u;  // "PLFN"
 /// Current protocol version. v2 added SubmitRequest::deadline_ms, the
 /// deadline/cancel/overload result flags, and per-tenant expired/shed
-/// stats rows. Decoders accept exactly [kMinProtocolVersion,
-/// kProtocolVersion] — today only v2: the one peer is the in-repo client,
-/// so a frame of any other version fails with ProtocolError kBadVersion.
-inline constexpr std::uint16_t kProtocolVersion = 2;
+/// stats rows. v3 changed no field: SubmitRequest::taxa_digest is now the
+/// lane-parallel checksum64's digest, which a v2 peer computes differently.
+/// Decoders accept exactly [kMinProtocolVersion, kProtocolVersion] — today
+/// only v3: the one peer is the in-repo client, so a frame of any other
+/// version fails with ProtocolError kBadVersion.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 inline constexpr std::uint16_t kMinProtocolVersion = kProtocolVersion;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
 /// Upper bound on one frame's payload; FrameDecoder rejects larger claims

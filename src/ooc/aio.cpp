@@ -22,11 +22,12 @@ namespace plfoc {
 AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
   AioCompletion completion;
   completion.token = op.token;
-  auto* injector = const_cast<FaultInjector*>(options.injector);
+  const FaultInjector* const injector = options.injector;
   char* const buffer = static_cast<char*>(op.buffer);
   std::size_t done = 0;  // bytes completed so far
   unsigned consecutive_failures = 0;
   unsigned faults_this_transfer = 0;
+  unsigned attempt = 0;
   std::uint64_t backoff_us = options.retry.backoff_initial_us;
   while (done < op.bytes) {
     const std::size_t remaining = op.bytes - done;
@@ -37,8 +38,8 @@ AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options) {
     std::size_t request = remaining;
     int error = 0;
     if (injector != nullptr) {
-      const FaultDecision fault = injector->next(op.is_write,
-                                                 faults_this_transfer);
+      const FaultDecision fault = injector->decide(
+          op.ordinal, attempt++, op.is_write, faults_this_transfer);
       if (fault.kind != FaultKind::kNone) ++completion.faults;
       switch (fault.kind) {
         case FaultKind::kNone:
@@ -130,7 +131,6 @@ class SyncAioEngine final : public AioEngine {
  public:
   explicit SyncAioEngine(const AioEngineOptions& options)
       : options_(options) {}
-  const char* name() const override { return "sync"; }
   unsigned depth() const override { return 1; }
 
   void submit(const AioOp* ops, std::size_t count) override {
@@ -161,7 +161,6 @@ class DeterministicAioEngine final : public AioEngine {
  public:
   explicit DeterministicAioEngine(const AioEngineOptions& options)
       : options_(options) {}
-  const char* name() const override { return "deterministic"; }
   unsigned depth() const override { return std::max(1u, options_.depth); }
 
   void submit(const AioOp* ops, std::size_t count) override {
@@ -227,7 +226,6 @@ class ThreadPoolAioEngine final : public AioEngine {
     for (std::thread& thread : workers_) thread.join();
   }
 
-  const char* name() const override { return "threads"; }
   unsigned depth() const override {
     return static_cast<unsigned>(workers_.size());
   }

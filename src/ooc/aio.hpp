@@ -26,9 +26,11 @@
 //                    determinism contract").
 //
 // Fault injection and retry live at *submission granularity*: every queued op
-// consults the shared FaultInjector schedule before each syscall attempt and
-// carries its own RetryPolicy state (short-transfer resumption, unconditional
-// EINTR retry, bounded transient-error retry with exponential backoff) —
+// carries the schedule ordinal it was given when its batch was staged,
+// consults the shared FaultInjector schedule at (ordinal, attempt) before
+// each syscall attempt, and carries its own RetryPolicy state
+// (short-transfer resumption, unconditional EINTR retry, bounded
+// transient-error retry with exponential backoff) —
 // run_transfer below is that one loop, and every engine runs it. Instead of
 // throwing, an exhausted op reports the final errno in its completion — the
 // FileBackend turns that into the typed IoError.
@@ -61,6 +63,8 @@ constexpr std::uint64_t kAioOrderReverse = 1;   ///< completions reversed
 
 /// One raw transfer: a contiguous span of one file descriptor. `token` is
 /// echoed verbatim in the completion so callers can match results to ops.
+/// `ordinal` is the op's position in the fault schedule
+/// (FaultInjector::reserve), given in op order when its batch is staged.
 struct AioOp {
   bool is_write = false;
   int fd = -1;
@@ -68,6 +72,7 @@ struct AioOp {
   std::size_t bytes = 0;
   std::uint64_t offset = 0;
   std::uint64_t token = 0;
+  std::uint64_t ordinal = 0;
 };
 
 /// Completion of one AioOp, carrying the outcome plus the counter deltas the
@@ -108,7 +113,6 @@ struct AioEngineOptions {
 class AioEngine {
  public:
   virtual ~AioEngine() = default;
-  virtual const char* name() const = 0;
   /// How many ops the engine keeps in flight at once: 1 for kSync, the
   /// worker count / configured depth for the others. Callers size their
   /// batches by it (the prefetcher's batch limit).
@@ -126,9 +130,9 @@ class AioEngine {
 
 /// The per-op retry/injection loop every engine runs: loops over short
 /// transfers and EINTR, retries transient errors per options.retry, and
-/// consults options.injector before each attempt. Counter deltas accumulate
-/// in the completion; exhaustion is reported there, never thrown, so it is
-/// safe on an engine's worker threads.
+/// consults options.injector at (op.ordinal, attempt) before each attempt.
+/// Counter deltas accumulate in the completion; exhaustion is reported
+/// there, never thrown, so it is safe on an engine's worker threads.
 AioCompletion run_transfer(const AioOp& op, const AioEngineOptions& options);
 
 /// Build an engine of options.kind.

@@ -195,12 +195,13 @@ FaultInjector::FaultInjector(FaultConfig config)
       base_(splitmix64(config.seed ^
                        splitmix64(config.nonce * 0xda942042e4dd58b5ull))) {}
 
-FaultDecision FaultInjector::next(bool is_write, unsigned faults_so_far) {
-  // Always advance the stream, even when the burst cap suppresses the fault:
-  // the schedule position then depends only on how many syscalls ran, and a
-  // replay with the same op sequence sees the same decisions.
-  const std::uint64_t k = op_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t h = splitmix64(base_ ^ (k * 0x2545f4914f6cdd1dull));
+FaultDecision FaultInjector::decide(std::uint64_t ordinal, unsigned attempt,
+                                    bool is_write,
+                                    unsigned faults_so_far) const {
+  // Keyed by (ordinal, attempt) alone: neither the thread that runs the op
+  // nor the ops that ran before it can change the decision.
+  const std::uint64_t h = splitmix64(
+      splitmix64(base_ ^ (ordinal * 0x2545f4914f6cdd1dull)) ^ attempt);
   if (faults_so_far >= config_.burst) return {};
   if (to_unit(h) >= config_.rate) return {};
 

@@ -7,11 +7,12 @@
 // Session/CLI configuration surface, and the differential fuzzer:
 //
 //  * FaultConfig / FaultInjector — a seeded, *replayable* fault schedule.
-//    Decision k of a schedule depends only on (seed, nonce, k), so a failing
-//    fuzzer case is reproduced exactly by re-running with the same spec
-//    string. Injectable faults: short reads/writes, EINTR, transient EIO /
-//    ENOSPC, and latency spikes. Parsed from "seed=N,rate=P,..." — the CLI's
-//    --inject-faults and the jobfile's faults= key.
+//    The decision for one syscall attempt depends only on (seed, nonce, op
+//    ordinal, attempt), so a failing fuzzer case is reproduced exactly by
+//    re-running with the same spec string. Injectable faults: short
+//    reads/writes, EINTR, transient EIO / ENOSPC, and latency spikes.
+//    Parsed from "seed=N,rate=P,..." — the CLI's --inject-faults and the
+//    jobfile's faults= key.
 //  * RetryPolicy — bounded retries with exponential backoff. Partial
 //    transfers always resume from the last completed byte; EINTR always
 //    retries (POSIX), without consuming retry budget.
@@ -31,6 +32,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -59,8 +61,9 @@ enum FaultKindMask : unsigned {
   kFaultAllErrors = kFaultShort | kFaultEintr | kFaultEio | kFaultEnospc,
 };
 
-/// A seeded, deterministic fault schedule. Decision k depends only on
-/// (seed, nonce, k): replaying the same op sequence replays the same faults.
+/// A seeded, deterministic fault schedule. A decision depends only on
+/// (seed, nonce, op ordinal, attempt): replaying the same op sequence
+/// replays the same faults.
 struct FaultConfig {
   std::uint64_t seed = 1;
   /// Per-syscall probability of injecting a fault from `kinds`.
@@ -201,17 +204,28 @@ struct CorruptionDecision {
   double b = 0.0;
 };
 
-/// Deterministic decision stream. Thread-safe: decisions are numbered by an
-/// atomic counter, so a run with a prefetch thread still draws each decision
-/// exactly once (the interleaving, not the stream, is what varies).
+/// Deterministic decision schedule. Every transfer op is given an ordinal
+/// when its batch is staged, in op order (reserve()); the decision for each
+/// syscall attempt of the op is then a pure function of (seed, nonce,
+/// ordinal, attempt), so it does not matter which thread runs the op or in
+/// what order a batch's ops execute. Thread-safe: ordinals come from an
+/// atomic counter, so a run with a prefetch thread still gives each op its
+/// own ordinal (the interleaving of batches, not the schedule, is what
+/// varies).
 class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig config);
 
-  /// Decision for the next syscall attempt. `is_write` selects the errno
-  /// vocabulary; `faults_so_far` is the number of data-path faults already
-  /// injected into the current logical transfer (enforces `burst`).
-  FaultDecision next(bool is_write, unsigned faults_so_far);
+  /// Reserve `count` consecutive op ordinals; returns the first.
+  std::uint64_t reserve(std::size_t count) {
+    return op_.fetch_add(count, std::memory_order_relaxed);
+  }
+
+  /// Decision for attempt `attempt` (0, 1, ...) of op `ordinal`. `is_write`
+  /// selects the errno vocabulary; `faults_so_far` is the number of
+  /// data-path faults already injected into the op (enforces `burst`).
+  FaultDecision decide(std::uint64_t ordinal, unsigned attempt, bool is_write,
+                       unsigned faults_so_far) const;
 
   /// Corruption decision for the next logical vector/block transfer. Drawn
   /// from a separately-salted stream on its own counter, so arming
@@ -221,10 +235,6 @@ class FaultInjector {
   /// uniform draw.
   CorruptionDecision next_corruption(bool is_write);
 
-  /// Total decisions drawn (faulting or not) — the schedule position.
-  std::uint64_t decisions() const {
-    return op_.load(std::memory_order_relaxed);
-  }
   const FaultConfig& config() const { return config_; }
 
  private:

@@ -21,7 +21,7 @@ namespace {
 constexpr std::uint64_t kHeaderBytes = 4096;
 constexpr std::uint64_t kTableEntryBytes = 16;
 constexpr std::uint32_t kMagic = 0x56464c50;  // "PLFV" little-endian
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 // Header field byte offsets.
 constexpr std::uint64_t kOffMagic = 0;
 constexpr std::uint64_t kOffVersion = 4;
@@ -78,6 +78,7 @@ void FileBackend::transfer_all(bool is_write, int fd, void* buffer,
   op.buffer = buffer;
   op.bytes = bytes;
   op.offset = offset;
+  if (injector_ != nullptr) op.ordinal = injector_->reserve(1);
   const AioCompletion completion = run_transfer(op, transfer_options_);
   fold(completion);
   if (!completion.ok())
@@ -412,6 +413,15 @@ void FileBackend::submit_vector_ops(VectorOp* ops, std::size_t count) {
     }
     aio.token = staged.size();
     staged.push_back(Staged{aio, {i}});
+  }
+
+  // Fault-schedule ordinals go out in token order, here on the submitting
+  // thread, so a batch draws the same faults whichever engine worker runs
+  // which op.
+  if (injector_ != nullptr && !staged.empty()) {
+    const std::uint64_t first = injector_->reserve(staged.size());
+    for (std::size_t t = 0; t < staged.size(); ++t)
+      staged[t].aio.ordinal = first + t;
   }
 
   std::vector<AioCompletion> completions(staged.size());

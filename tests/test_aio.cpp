@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz_harness.hpp"
@@ -116,7 +117,7 @@ TEST(AioEngine, SyncDeliversInSubmissionOrder) {
   AioEngineOptions options;
   options.kind = AioEngineKind::kSync;
   auto engine = make_aio_engine(options);
-  EXPECT_STREQ(engine->name(), "sync");
+  EXPECT_EQ(engine->depth(), 1u);  // one op at a time
   const std::vector<std::uint64_t> order = delivery_order(*engine, file, 8);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
@@ -127,7 +128,7 @@ TEST(AioEngine, DeterministicSeedZeroIsIdentityOrder) {
   options.kind = AioEngineKind::kDeterministic;
   options.permute_seed = kAioOrderIdentity;
   auto engine = make_aio_engine(options);
-  EXPECT_STREQ(engine->name(), "deterministic");
+  EXPECT_EQ(engine->depth(), options.depth);
   for (int batch = 0; batch < 3; ++batch) {
     const std::vector<std::uint64_t> order = delivery_order(*engine, file, 8);
     for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
@@ -179,7 +180,7 @@ TEST(AioEngine, ThreadPoolCompletesWritesAndReads) {
   options.kind = AioEngineKind::kThreads;
   options.depth = 4;
   auto engine = make_aio_engine(options);
-  EXPECT_STREQ(engine->name(), "threads");
+  EXPECT_EQ(engine->depth(), 4u);  // one worker per queue slot
 
   std::vector<char> source(count * kSpan);
   for (std::size_t i = 0; i < source.size(); ++i)
@@ -243,6 +244,46 @@ TEST(AioEngine, InjectedTransientsRecoverWithinRetryBudget) {
     EXPECT_GE(completion.retries, 2u);
     EXPECT_EQ(completion.exhausted, 0u);
   }
+}
+
+// Per-token fault and retry counts of one 64-op batch under a fresh
+// injector, with ordinals staged in op order as FileBackend stages them.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> batch_fault_draws(
+    AioEngineKind kind, const ScratchFile& file) {
+  constexpr std::size_t kOps = 64;
+  FaultInjector injector(FaultConfig::parse("seed=11,rate=0.3,burst=2"));
+  AioEngineOptions options;
+  options.kind = kind;
+  options.depth = 8;
+  options.injector = &injector;
+  options.retry.backoff_initial_us = 0;
+  auto engine = make_aio_engine(options);
+  std::vector<char> arena;
+  std::vector<AioOp> ops = make_read_ops(file, arena, kOps);
+  const std::uint64_t first = injector.reserve(kOps);
+  for (std::size_t i = 0; i < kOps; ++i) ops[i].ordinal = first + i;
+  engine->submit(ops.data(), ops.size());
+  std::vector<AioCompletion> completions(kOps);
+  engine->collect(completions.data(), kOps);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> draws(kOps);
+  for (const AioCompletion& completion : completions) {
+    EXPECT_TRUE(completion.ok()) << "errno " << completion.error;
+    draws[completion.token] = {completion.faults, completion.retries};
+  }
+  return draws;
+}
+
+TEST(AioEngine, ThreadPoolDrawsEachOpsFaultsByItsOrdinal) {
+  // Eight workers take a batch's ops in whatever order they get to them;
+  // every op must still see exactly the faults the sync engine gives it.
+  ScratchFile file(64 * kSpan);
+  const auto expected = batch_fault_draws(AioEngineKind::kSync, file);
+  std::uint64_t faults = 0;
+  for (const auto& draw : expected) faults += draw.first;
+  ASSERT_GT(faults, 0u);
+  for (int run = 0; run < 10; ++run)
+    EXPECT_EQ(batch_fault_draws(AioEngineKind::kThreads, file), expected)
+        << "run " << run;
 }
 
 TEST(AioEngine, ExhaustedRetryBudgetReportsTypedOutcome) {
@@ -753,14 +794,51 @@ TEST(AioPermutations, AsyncEnginesBitIdenticalToSyncBaseline) {
   }
 }
 
+// The thread-pool engine runs a batch's ops on whichever worker is free, but
+// every op carries the fault-schedule ordinal it was given at staging, so a
+// faulty run draws exactly the sync engine's faults in every repetition.
+TEST(AioPermutations, ThreadPoolDrawsTheSyncEnginesFaults) {
+  fuzz::TrialPlan plan = sweep_plan();
+  plan.dataset.num_taxa = 12;
+  plan.dataset.num_sites = 300;
+  plan.traversals = 6;
+  auto options = [&](AioEngineKind engine) {
+    SessionOptions ooc;
+    ooc.backend = Backend::kOutOfCore;
+    ooc.ram_fraction = 0.3;
+    ooc.policy = ReplacementPolicy::kLru;
+    ooc.read_skipping = false;  // every miss pairs a write-back with a read
+    ooc.seed = plan.dataset.seed;
+    ooc.faults = FaultConfig::parse("seed=11,rate=0.2");
+    ooc.io_engine = engine;
+    ooc.io_depth = 4;
+    return ooc;
+  };
+  OocStats sync_stats;
+  const std::vector<double> expected =
+      fuzz::run_candidate(plan, options(AioEngineKind::kSync), &sync_stats);
+  ASSERT_GT(sync_stats.faults_injected, 0u);
+  for (int run = 0; run < 8; ++run) {
+    OocStats stats;
+    EXPECT_EQ(fuzz::run_candidate(plan, options(AioEngineKind::kThreads),
+                                  &stats),
+              expected)
+        << "run " << run;
+    EXPECT_EQ(stats.faults_injected, sync_stats.faults_injected)
+        << "run " << run;
+    EXPECT_EQ(stats.io_retries, sync_stats.io_retries) << "run " << run;
+    EXPECT_EQ(stats.io_batches, sync_stats.io_batches) << "run " << run;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Failure parity: one miss path and one flush for every engine
 // ---------------------------------------------------------------------------
 
 // A fault schedule that fails exactly the first write attempt of the store's
-// life and none of the next `clean_after` attempts. Only ENOSPC is drawn,
-// which the injector applies to writes alone, and no retry is allowed, so
-// that first write-back exhausts at once.
+// life (op ordinal 0) and none of the next `clean_after` ops' attempts. Only
+// ENOSPC is drawn, which the injector applies to writes alone, and no retry
+// is allowed, so that first write-back exhausts at once.
 FileBackendOptions first_write_fails(const std::string& tag,
                                      AioEngineKind engine) {
   constexpr unsigned kCleanAfter = 24;
@@ -769,11 +847,11 @@ FileBackendOptions first_write_fails(const std::string& tag,
   faults.kinds = kFaultEnospc;
   faults.burst = 1;
   for (faults.seed = 1;; ++faults.seed) {
-    FaultInjector probe(faults);
-    if (probe.next(true, 0).kind == FaultKind::kNone) continue;
+    const FaultInjector probe(faults);
+    if (probe.decide(0, 0, true, 0).kind == FaultKind::kNone) continue;
     bool clean = true;
-    for (unsigned k = 0; k < kCleanAfter && clean; ++k)
-      clean = probe.next(true, 0).kind == FaultKind::kNone;
+    for (unsigned k = 1; k <= kCleanAfter && clean; ++k)
+      clean = probe.decide(k, 0, true, 0).kind == FaultKind::kNone;
     if (clean) break;
   }
   FileBackendOptions file;

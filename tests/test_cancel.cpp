@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "ooc/audit.hpp"
+#include "ooc/faults.hpp"
 #include "service/service.hpp"
 #include "sim/dataset_planner.hpp"
 #include "util/checks.hpp"
@@ -75,6 +76,17 @@ JobSpec slow_service_job(std::uint64_t seed) {
   spec.session.backend = Backend::kOutOfCore;
   spec.session.ram_fraction = 0.1;
   spec.session.seed = seed;
+  return spec;
+}
+
+/// slow_service_job with a 2 ms latency spike injected before every
+/// transfer: the job stays mid-run far longer than a test takes to trip its
+/// token, however fast the host evaluates, so the tests that assert a
+/// mid-run unwind do not race the job's completion.
+JobSpec stalled_service_job(std::uint64_t seed) {
+  JobSpec spec = slow_service_job(seed);
+  spec.session.faults =
+      FaultConfig::parse("seed=1,rate=1,kinds=latency,latency-ns=2000000");
   return spec;
 }
 
@@ -363,7 +375,7 @@ TEST(ServiceCancel, WatchdogReasonPlumbsThroughTheUnwind) {
   ServiceOptions options;
   options.workers = 1;
   Service service(options);
-  JobSpec spec = slow_service_job(11);
+  JobSpec spec = stalled_service_job(11);
   CancelToken token = CancelToken::make();
   spec.session.cancel = token;
   const JobId id = service.submit(std::move(spec));
@@ -441,7 +453,7 @@ TEST(ServiceCancel, DeadlineMidEvaluationReportsDeadlineExceeded) {
   ServiceOptions options;
   options.workers = 1;
   Service service(options);
-  JobSpec spec = slow_service_job(31);
+  JobSpec spec = stalled_service_job(31);
   CancelToken token = CancelToken::make();
   spec.session.cancel = token;
   const JobId id = service.submit(std::move(spec));

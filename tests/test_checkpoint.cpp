@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string>
 
 #include "ooc/file_backend.hpp"
 #include "ooc/inram_store.hpp"
@@ -105,6 +106,26 @@ TEST(Checkpoint, RejectsTruncated) {
   const std::string full = io.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(read_checkpoint(cut), Error);
+}
+
+TEST(Checkpoint, RefusesAVersion2Checkpoint) {
+  // v2's trailer was the serial-chain checksum: an older checkpoint is
+  // refused by its version before any trailer is checked.
+  Fixture fx(17);
+  std::stringstream io(std::ios::in | std::ios::out | std::ios::binary);
+  write_checkpoint(io, make_checkpoint(fx.engine));
+  std::string bytes = io.str();
+  ASSERT_EQ(bytes[4], 3);  // version, little-endian after the magic
+  bytes[4] = 2;
+  std::stringstream old(bytes);
+  try {
+    read_checkpoint(old);
+    FAIL() << "a v2 checkpoint was accepted";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("unsupported version 2"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Checkpoint, RejectsMissingFile) {

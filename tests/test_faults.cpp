@@ -65,23 +65,44 @@ TEST(FaultConfig, RejectsMalformedSpecs) {
 
 TEST(FaultInjector, SameSeedSameSchedule) {
   FaultConfig config = FaultConfig::parse("seed=11,rate=0.3,burst=1000");
-  FaultInjector a(config);
-  FaultInjector b(config);
-  for (int k = 0; k < 500; ++k) {
-    const FaultDecision da = a.next(k % 2 == 0, 0);
-    const FaultDecision db = b.next(k % 2 == 0, 0);
-    EXPECT_EQ(da.kind, db.kind) << "decision " << k;
-    EXPECT_DOUBLE_EQ(da.fraction, db.fraction) << "decision " << k;
+  const FaultInjector a(config);
+  const FaultInjector b(config);
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    for (unsigned attempt = 0; attempt < 5; ++attempt) {
+      const FaultDecision da = a.decide(k, attempt, k % 2 == 0, 0);
+      const FaultDecision db = b.decide(k, attempt, k % 2 == 0, 0);
+      EXPECT_EQ(da.kind, db.kind) << "op " << k << " attempt " << attempt;
+      EXPECT_DOUBLE_EQ(da.fraction, db.fraction)
+          << "op " << k << " attempt " << attempt;
+    }
   }
-  EXPECT_EQ(a.decisions(), 500u);
+}
+
+TEST(FaultInjector, DecisionsDoNotDependOnEvaluationOrder) {
+  // The thread-pool engine runs a batch's ops in whatever order its workers
+  // pick them up: a decision must be the same whichever ops were decided
+  // before it.
+  FaultConfig config = FaultConfig::parse("seed=11,rate=0.3,burst=1000");
+  const FaultInjector forward(config);
+  const FaultInjector backward(config);
+  std::vector<FaultKind> in_order;
+  for (std::uint64_t k = 0; k < 64; ++k)
+    in_order.push_back(forward.decide(k, 0, true, 0).kind);
+  for (std::uint64_t k = 64; k-- > 0;)
+    EXPECT_EQ(backward.decide(k, 0, true, 0).kind, in_order[k]) << "op " << k;
+  // Ordinals are handed out in consecutive runs, one per staged op.
+  FaultInjector injector(config);
+  EXPECT_EQ(injector.reserve(3), 0u);
+  EXPECT_EQ(injector.reserve(1), 3u);
+  EXPECT_EQ(injector.reserve(2), 4u);
 }
 
 TEST(FaultInjector, DifferentSeedOrNonceChangesSchedule) {
   auto fire_pattern = [](const char* spec) {
-    FaultInjector injector(FaultConfig::parse(spec));
+    const FaultInjector injector(FaultConfig::parse(spec));
     std::uint64_t pattern = 0;
-    for (int k = 0; k < 64; ++k)
-      if (injector.next(false, 0).kind != FaultKind::kNone)
+    for (unsigned k = 0; k < 64; ++k)
+      if (injector.decide(k / 4, k % 4, false, 0).kind != FaultKind::kNone)
         pattern |= std::uint64_t{1} << k;
     return pattern;
   };
@@ -92,25 +113,27 @@ TEST(FaultInjector, DifferentSeedOrNonceChangesSchedule) {
 
 TEST(FaultInjector, BurstCapSuppressesButAdvances) {
   FaultConfig config = FaultConfig::parse("seed=3,rate=1,burst=2");
-  FaultInjector injector(config);
-  EXPECT_NE(injector.next(false, 0).kind, FaultKind::kNone);
-  EXPECT_NE(injector.next(false, 1).kind, FaultKind::kNone);
-  // At the cap the decision is suppressed, but the stream still advances.
-  EXPECT_EQ(injector.next(false, 2).kind, FaultKind::kNone);
-  EXPECT_EQ(injector.decisions(), 3u);
+  const FaultInjector injector(config);
+  EXPECT_NE(injector.decide(0, 0, false, 0).kind, FaultKind::kNone);
+  EXPECT_NE(injector.decide(0, 1, false, 1).kind, FaultKind::kNone);
+  // At the cap the decision is suppressed; the op's next attempt moves on
+  // to a fresh (ordinal, attempt) key all the same.
+  EXPECT_EQ(injector.decide(0, 2, false, 2).kind, FaultKind::kNone);
+  EXPECT_NE(injector.decide(0, 3, false, 0).kind, FaultKind::kNone);
 }
 
 TEST(FaultInjector, RespectsKindMask) {
-  FaultInjector injector(FaultConfig::parse("seed=5,rate=1,kinds=eio"));
-  for (int k = 0; k < 32; ++k)
-    EXPECT_EQ(injector.next(false, 0).kind, FaultKind::kEio);
+  const FaultInjector injector(FaultConfig::parse("seed=5,rate=1,kinds=eio"));
+  for (unsigned k = 0; k < 32; ++k)
+    EXPECT_EQ(injector.decide(k, k % 3, false, 0).kind, FaultKind::kEio);
 }
 
 TEST(FaultInjector, EnospcOnlyOnWrites) {
-  FaultInjector injector(FaultConfig::parse("seed=5,rate=1,kinds=enospc"));
+  const FaultInjector injector(
+      FaultConfig::parse("seed=5,rate=1,kinds=enospc"));
   // Reads have no enabled kind left, so nothing fires.
-  EXPECT_EQ(injector.next(false, 0).kind, FaultKind::kNone);
-  EXPECT_EQ(injector.next(true, 0).kind, FaultKind::kEnospc);
+  EXPECT_EQ(injector.decide(0, 0, false, 0).kind, FaultKind::kNone);
+  EXPECT_EQ(injector.decide(0, 0, true, 0).kind, FaultKind::kEnospc);
 }
 
 FileBackendOptions faulty_options(const std::string& tag, const char* spec,

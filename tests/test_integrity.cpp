@@ -13,7 +13,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +31,7 @@
 #include "service/service.hpp"
 #include "session.hpp"
 #include "sim/dataset_planner.hpp"
+#include "util/checksum.hpp"
 
 namespace plfoc {
 namespace {
@@ -60,6 +63,110 @@ TEST(IntegrityUnit, Checksum64IsDeterministicAndSensitive) {
   std::vector<double> tail_mut = data;
   reinterpret_cast<unsigned char*>(tail_mut.data())[12] ^= 0x01;
   EXPECT_NE(tail_a, checksum64(7, tail_mut.data(), 13));
+}
+
+/// Deterministic test bytes: byte i is (131 i + 7) mod 256.
+std::vector<unsigned char> pattern_bytes(std::size_t bytes) {
+  std::vector<unsigned char> data(bytes);
+  for (std::size_t i = 0; i < bytes; ++i)
+    data[i] = static_cast<unsigned char>((i * 131 + 7) & 0xFF);
+  return data;
+}
+
+TEST(IntegrityUnit, Checksum64GoldenValues) {
+  // Vector files, checkpoints and the wire's taxa digest carry these values:
+  // a change to the hash must fail here and bump those formats' versions.
+  // Cross-checked against an independent transcription of the lane
+  // construction (docs/file-formats.md, "Checksum").
+  struct Golden {
+    std::uint64_t seed;
+    std::size_t bytes;
+    std::uint64_t value;
+  };
+  const Golden golden[] = {
+      {0, 0, 0x92297ed7999a749bull},
+      {1, 7, 0x72ff95885c845fe7ull},
+      {42, 8, 0x305fe9955fa1d6f4ull},
+      {42, 63, 0x881e867f34e22304ull},
+      {42, 64, 0xcc4617e0d5c06c66ull},
+      {0x504c4656, 65, 0xe7366a4c38bafa39ull},
+      {0x504c4656, 119552, 0x2db7be1217a67d52ull},  // one search vector
+  };
+  const std::vector<unsigned char> data = pattern_bytes(119552);
+  for (const Golden& g : golden)
+    EXPECT_EQ(checksum64(g.seed, data.data(), g.bytes), g.value)
+        << "seed " << g.seed << ", " << g.bytes << " bytes";
+}
+
+TEST(IntegrityUnit, Checksum64DetectsAFlipInEveryLane) {
+  // 5 stripes of 8 lanes, then 3 whole words and a 5-byte tail.
+  const std::size_t bytes = 5 * 64 + 3 * 8 + 5;
+  const std::vector<unsigned char> data = pattern_bytes(bytes);
+  const std::uint64_t h = checksum64(9, data.data(), bytes);
+  for (std::size_t lane = 0; lane < kChecksumLanes; ++lane) {
+    for (const std::size_t stripe :
+         {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+      std::vector<unsigned char> flipped = data;
+      flipped[stripe * 64 + lane * 8 + lane % 8] ^= 0x04;
+      EXPECT_NE(checksum64(9, flipped.data(), bytes), h)
+          << "lane " << lane << ", stripe " << stripe;
+    }
+  }
+  // The words after the last stripe and the tail are covered too.
+  for (std::size_t byte = 5 * 64; byte < bytes; ++byte) {
+    std::vector<unsigned char> flipped = data;
+    flipped[byte] ^= 0x80;
+    EXPECT_NE(checksum64(9, flipped.data(), bytes), h) << "byte " << byte;
+  }
+}
+
+TEST(IntegrityUnit, Checksum64DetectsWordSwaps) {
+  const std::size_t bytes = 4 * 64;
+  const std::vector<unsigned char> data = pattern_bytes(bytes);
+  const std::uint64_t h = checksum64(5, data.data(), bytes);
+  const auto swapped = [&](std::size_t a, std::size_t b) {
+    std::vector<unsigned char> copy = data;
+    std::swap_ranges(copy.begin() + static_cast<std::ptrdiff_t>(8 * a),
+                     copy.begin() + static_cast<std::ptrdiff_t>(8 * a + 8),
+                     copy.begin() + static_cast<std::ptrdiff_t>(8 * b));
+    EXPECT_NE(std::memcmp(copy.data(), data.data(), bytes), 0);
+    return checksum64(5, copy.data(), bytes);
+  };
+  EXPECT_NE(swapped(0, 1), h);    // neighbours: different lanes
+  EXPECT_NE(swapped(3, 22), h);   // different lanes, different stripes
+  EXPECT_NE(swapped(2, 10), h);   // same lane, 8 words apart
+  EXPECT_NE(swapped(7, 31), h);   // same lane, 24 words apart
+}
+
+TEST(IntegrityUnit, Checksum64TailLengthsAreDistinct) {
+  // A torn write leaves a zero tail: every length must hash differently,
+  // on zero content as on patterned content, with or without full stripes.
+  const std::vector<unsigned char> zeros(3 * 64, 0);
+  const std::vector<unsigned char> pattern = pattern_bytes(3 * 64);
+  for (const std::vector<unsigned char>* data : {&zeros, &pattern}) {
+    for (const std::size_t base : {std::size_t{0}, std::size_t{2 * 64}}) {
+      std::vector<std::uint64_t> values;
+      for (std::size_t tail = 0; tail < 64; ++tail)
+        values.push_back(checksum64(3, data->data(), base + tail));
+      std::sort(values.begin(), values.end());
+      EXPECT_EQ(std::adjacent_find(values.begin(), values.end()),
+                values.end())
+          << "base " << base << (data == &zeros ? ", zeros" : ", pattern");
+    }
+  }
+}
+
+TEST(IntegrityUnit, Checksum64IsSeedSpecific) {
+  const std::vector<unsigned char> data = pattern_bytes(1000);
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{13},
+                                  std::size_t{64}, std::size_t{1000}}) {
+    std::vector<std::uint64_t> values;
+    for (std::uint64_t seed = 0; seed < 16; ++seed)
+      values.push_back(checksum64(seed, data.data(), bytes));
+    std::sort(values.begin(), values.end());
+    EXPECT_EQ(std::adjacent_find(values.begin(), values.end()), values.end())
+        << bytes << " bytes";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -112,14 +219,14 @@ TEST(IntegrityUnit, CorruptionStreamIsIndependentOfSyscallStream) {
   config.zero_rate = 0.2;
   config.stale_rate = 0.2;
 
-  // Injector A interleaves syscall-fault draws between its corruption draws;
-  // injector B draws corruption only. The corruption streams must match:
+  // Injector A reserves syscall-schedule ordinals between its corruption
+  // draws; injector B draws corruption only. The corruption streams must match:
   // arming syscall faults may not perturb which transfers get corrupted
   // (and vice versa), or the differential fuzzer's oracles fall apart.
   FaultInjector a(config);
   FaultInjector b(config);
   for (int i = 0; i < 24; ++i) {
-    (void)a.next(i % 2 == 0, 0);  // consume the syscall stream on A only
+    (void)a.reserve(1);  // advance the syscall schedule on A only
     const bool is_write = (i % 3) == 0;
     const CorruptionDecision da = a.next_corruption(is_write);
     const CorruptionDecision db = b.next_corruption(is_write);
@@ -151,7 +258,7 @@ std::vector<double> pattern_vector(std::uint32_t index) {
 }
 
 /// Payload byte offset of vector `index` inside a single-stripe integrity
-/// file of `count` records (the docs/file-formats.md v1 layout).
+/// file of `count` records (the docs/file-formats.md v2 layout).
 std::uint64_t payload_offset(std::size_t count, std::uint32_t index) {
   const std::uint64_t table_end = 4096 + 16ull * count;
   const std::uint64_t payload = (table_end + 4095) / 4096 * 4096;
@@ -318,6 +425,38 @@ TEST(Fsck, CleanDamagedAndInvalidHeader) {
   EXPECT_NE(invalid_out.str().find("header: INVALID"), std::string::npos)
       << invalid_out.str();
 
+  std::remove(path.c_str());
+}
+
+TEST(Fsck, RefusesAVersion1VectorFile) {
+  // Format v1 carried the serial-chain checksum; its records cannot be
+  // checked with today's hash, so the whole file is refused by version.
+  const std::string path = temp_vector_file_path("integrity-fsck-v1");
+  {
+    FileBackendOptions options;
+    options.base_path = path;
+    options.remove_on_close = false;
+    FileBackend backend(2, kWidth * sizeof(double), options);
+    const std::vector<double> v0 = pattern_vector(0);
+    backend.write_vector(0, v0.data());
+  }
+  ASSERT_TRUE(FileBackend::fsck(path).clean());
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const std::uint32_t v1 = 1;
+  ASSERT_EQ(::pwrite(fd, &v1, sizeof v1, 4),  // header: version at byte 4
+            static_cast<ssize_t>(sizeof v1));
+  ::close(fd);
+
+  const FsckReport report = FileBackend::fsck(path);
+  EXPECT_FALSE(report.header_ok);
+  EXPECT_EQ(report.header_error, "unsupported format version 1");
+  FsckConfig cli;
+  cli.vector_file = path;
+  std::ostringstream out;
+  EXPECT_EQ(run_fsck_cli(cli, out), 1);
+  EXPECT_NE(out.str().find("unsupported format version 1"), std::string::npos)
+      << out.str();
   std::remove(path.c_str());
 }
 

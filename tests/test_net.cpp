@@ -224,6 +224,18 @@ TEST(Protocol, V1FramesAreRejectedAsBadVersion) {
             ProtocolError::Kind::kBadVersion);
 }
 
+TEST(Protocol, V2FramesAreRejectedAsBadVersion) {
+  // v3 changed how SubmitRequest::taxa_digest is computed, so a v2 peer's
+  // digests would not verify: its frames are refused at the header.
+  ASSERT_EQ(kProtocolVersion, 3);
+  std::vector<std::uint8_t> submit = encode_submit_request(sample_submit());
+  const std::uint16_t v2 = 2;
+  std::memcpy(&submit[4], &v2, sizeof(v2));
+  EXPECT_EQ(decode_kind(submit), ProtocolError::Kind::kBadVersion);
+  EXPECT_EQ(decode_kind(encode_frame(MessageType::kPing, {}, 2)),
+            ProtocolError::Kind::kBadVersion);
+}
+
 TEST(Framing, BadMagicBadVersionBadTypeOversized) {
   std::vector<std::uint8_t> good = encode_ping();
 

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <thread>
 
+#include "ooc/faults.hpp"
 #include "service/jobfile.hpp"
 #include "service/scheduler.hpp"
 #include "service/tenant.hpp"
@@ -47,6 +48,10 @@ JobSpec make_job(std::uint64_t seed, Backend backend, double fraction = 0.0,
 
 /// A spec whose evaluation takes long enough (tens of ms) that queue-state
 /// assertions made microseconds after submit cannot race its completion.
+/// An out-of-core job whose every transfer first stalls 1 ms (an injected
+/// latency spike), so it stays on the worker for tens of milliseconds
+/// however fast the host evaluates: the tests that queue jobs behind it
+/// must not race its completion.
 JobSpec make_slow_job(std::uint64_t seed) {
   PlannedDataset data = small_dataset(seed, 48, 600);
   JobSpec spec{"", std::move(data.alignment), std::move(data.tree),
@@ -54,6 +59,8 @@ JobSpec make_slow_job(std::uint64_t seed) {
   spec.session.backend = Backend::kOutOfCore;
   spec.session.ram_fraction = 0.1;
   spec.session.seed = seed;
+  spec.session.faults =
+      FaultConfig::parse("seed=1,rate=1,kinds=latency,latency-ns=1000000");
   return spec;
 }
 
