@@ -148,46 +148,22 @@ void LikelihoodEngine::execute_steps(std::span<const TraversalStep> steps,
   }
 }
 
-BranchValue LikelihoodEngine::evaluate_at(NodeId a, NodeId b, double t,
-                                          bool with_derivatives) {
+std::pair<NodeId, NodeId> LikelihoodEngine::near_far(NodeId a,
+                                                     NodeId b) const {
   PLFOC_CHECK(tree_.has_edge(a, b));
-  // The near side contributes raw conditionals; the far side is propagated
-  // across the branch. A tip can serve either role; when exactly one side is
-  // a tip we put it near (cheap indicator gather).
-  NodeId near = a;
-  NodeId far = b;
-  if (tree_.is_tip(far) && !tree_.is_tip(near)) std::swap(near, far);
-  PLFOC_CHECK(!tree_.is_tip(far));  // n >= 3 has no tip-tip edges
+  if (tree_.is_tip(b) && !tree_.is_tip(a)) std::swap(a, b);
+  PLFOC_CHECK(!tree_.is_tip(b));
+  return {a, b};
+}
 
-  category_transition_matrices(eigen_, t, rates_, pmat_left_);
-  if (with_derivatives) {
-    const unsigned s = dims_.states;
-    dmat_.resize(static_cast<std::size_t>(dims_.categories) * s * s);
-    d2mat_.resize(dmat_.size());
-    for (unsigned c = 0; c < dims_.categories; ++c) {
-      // d/dt P(r_c t) = r_c P'(r_c t): chain rule over the category rate.
-      transition_derivatives(eigen_, t * rates_[c], nullptr,
-                             dmat_.data() + static_cast<std::size_t>(c) * s * s,
-                             d2mat_.data() + static_cast<std::size_t>(c) * s * s);
-      const double r = rates_[c];
-      double* d1 = dmat_.data() + static_cast<std::size_t>(c) * s * s;
-      double* d2 = d2mat_.data() + static_cast<std::size_t>(c) * s * s;
-      for (unsigned i = 0; i < s * s; ++i) {
-        d1[i] *= r;
-        d2[i] *= r * r;
-      }
-    }
-  }
-
-  EvalSide near_side{};
-  EvalSide far_side{};
-  VectorLease near_lease;
-  VectorLease far_lease;
-
+void LikelihoodEngine::bind_sides(NodeId near, NodeId far, EvalSide& near_side,
+                                  EvalSide& far_side, VectorLease& near_lease,
+                                  VectorLease& far_lease) {
   if (tree_.is_tip(near)) {
     near_side.codes = tips_.tip_codes(near);
-    near_side.indicator = tips_.indicator(0);  // base of the indicator table
-    // indicator(code) rows are contiguous: kernel indexes codes[p]*states.
+    // Base of the indicator table; its code rows are contiguous, so the
+    // kernels index codes[p] * states.
+    near_side.indicator = tips_.indicator(0);
   } else {
     near_lease = store_.acquire(vector_index(near), AccessMode::kRead);
     near_side.vector = near_lease.data();
@@ -196,20 +172,49 @@ BranchValue LikelihoodEngine::evaluate_at(NodeId a, NodeId b, double t,
   far_lease = store_.acquire(vector_index(far), AccessMode::kRead);
   far_side.vector = far_lease.data();
   far_side.scale_counts = scale_data(far);
+}
 
+double LikelihoodEngine::evaluate_at(NodeId a, NodeId b, double t) {
+  const auto [near, far] = near_far(a, b);
+  category_transition_matrices(eigen_, t, rates_, pmat_left_);
+  EvalSide near_side{};
+  EvalSide far_side{};
+  VectorLease near_lease;
+  VectorLease far_lease;
+  bind_sides(near, far, near_side, far_side, near_lease, far_lease);
   return evaluate_branch(dims_, config_.substitution.frequencies.data(),
                          weights_.data(), near_side, far_side,
-                         pmat_left_.data(),
-                         with_derivatives ? dmat_.data() : nullptr,
-                         with_derivatives ? d2mat_.data() : nullptr,
-                         with_derivatives, kernel_pool_);
+                         pmat_left_.data(), nullptr, nullptr, false,
+                         kernel_pool_)
+      .log_likelihood;
+}
+
+void LikelihoodEngine::build_branch_sumtable(NodeId near, NodeId far) {
+  sumtable_.resize(store_.width());
+  EvalSide near_side{};
+  EvalSide far_side{};
+  VectorLease near_lease;
+  VectorLease far_lease;
+  bind_sides(near, far, near_side, far_side, near_lease, far_lease);
+  build_sumtable(dims_, config_.substitution.frequencies.data(),
+                 eigen_.right.data(), eigen_.inverse.data(), near_side,
+                 far_side, sumtable_.data(), kernel_pool_);
+}
+
+BranchValue LikelihoodEngine::sumtable_value(NodeId near, NodeId far,
+                                             double t) {
+  // Scale counters are RAM-resident, so no lease is needed to read them.
+  return sumtable_branch_value(
+      dims_, weights_.data(), sumtable_.data(),
+      tree_.is_tip(near) ? nullptr : scale_data(near), scale_data(far),
+      eigen_.eigenvalues.data(), rates_.data(), t, kernel_pool_);
 }
 
 double LikelihoodEngine::log_likelihood(NodeId a, NodeId b) {
   const std::vector<TraversalStep> steps =
       plan_for_branch(tree_, orientation_, a, b, /*full=*/false);
   execute(steps);
-  return evaluate_at(a, b, tree_.branch_length(a, b), false).log_likelihood;
+  return evaluate_at(a, b, tree_.branch_length(a, b));
 }
 
 std::vector<double> LikelihoodEngine::pattern_log_likelihoods(NodeId a,
@@ -217,28 +222,14 @@ std::vector<double> LikelihoodEngine::pattern_log_likelihoods(NodeId a,
   const std::vector<TraversalStep> steps =
       plan_for_branch(tree_, orientation_, a, b, /*full=*/false);
   execute(steps);
-  // Same near/far assignment as evaluate_at.
-  NodeId near = a;
-  NodeId far = b;
-  if (tree_.is_tip(far) && !tree_.is_tip(near)) std::swap(near, far);
-  PLFOC_CHECK(!tree_.is_tip(far));
+  const auto [near, far] = near_far(a, b);
   category_transition_matrices(eigen_, tree_.branch_length(a, b), rates_,
                                pmat_left_);
   EvalSide near_side{};
   EvalSide far_side{};
   VectorLease near_lease;
-  if (tree_.is_tip(near)) {
-    near_side.codes = tips_.tip_codes(near);
-    near_side.indicator = tips_.indicator(0);
-  } else {
-    near_lease = store_.acquire(vector_index(near), AccessMode::kRead);
-    near_side.vector = near_lease.data();
-    near_side.scale_counts = scale_data(near);
-  }
-  VectorLease far_lease =
-      store_.acquire(vector_index(far), AccessMode::kRead);
-  far_side.vector = far_lease.data();
-  far_side.scale_counts = scale_data(far);
+  VectorLease far_lease;
+  bind_sides(near, far, near_side, far_side, near_lease, far_lease);
   std::vector<double> out(dims_.patterns);
   per_pattern_log_likelihoods(dims_, config_.substitution.frequencies.data(),
                               near_side, far_side, pmat_left_.data(),
@@ -256,29 +247,35 @@ double LikelihoodEngine::full_traversal_log_likelihood() {
   const std::vector<TraversalStep> steps =
       plan_for_branch(tree_, orientation_, a, b, /*full=*/true);
   execute(steps);
-  return evaluate_at(a, b, tree_.branch_length(a, b), false).log_likelihood;
+  return evaluate_at(a, b, tree_.branch_length(a, b));
 }
 
 BranchValue LikelihoodEngine::branch_value(NodeId a, NodeId b, double t,
                                            bool with_derivatives) {
-  return evaluate_at(a, b, t, with_derivatives);
+  if (!with_derivatives) return BranchValue{evaluate_at(a, b, t)};
+  const auto [near, far] = near_far(a, b);
+  build_branch_sumtable(near, far);
+  return sumtable_value(near, far, t);
 }
 
 double LikelihoodEngine::optimize_branch(NodeId a, NodeId b,
                                          int max_iterations,
                                          bool update_invalidation) {
   // Validate the endpoint vectors once; Newton iterations then touch only
-  // the two vectors at the branch ends (the paper's Sec. 4.2 locality).
+  // the two vectors at the branch ends (the paper's Sec. 4.2 locality), and
+  // only through the sum table built from them here.
   const std::vector<TraversalStep> steps =
       plan_for_branch(tree_, orientation_, a, b, /*full=*/false);
   execute(steps);
+  const auto [near, far] = near_far(a, b);
+  build_branch_sumtable(near, far);
 
   const double t_initial = tree_.branch_length(a, b);
   double t = t_initial;
   double best_t = t;
   double best_ll = -std::numeric_limits<double>::infinity();
   for (int iteration = 0; iteration < max_iterations; ++iteration) {
-    const BranchValue value = evaluate_at(a, b, t, true);
+    const BranchValue value = sumtable_value(near, far, t);
     if (value.log_likelihood > best_ll) {
       best_ll = value.log_likelihood;
       best_t = t;
@@ -296,11 +293,14 @@ double LikelihoodEngine::optimize_branch(NodeId a, NodeId b,
     if (std::abs(next - t) <= 1e-10 * (1.0 + t)) break;
     t = next;
   }
+  // The endpoint vectors do not depend on the length between them, so the
+  // returned value is the direct evaluation log_likelihood(a, b) would give.
+  const double ll = evaluate_at(a, b, best_t);
   if (best_t != t_initial) {
     tree_.set_branch_length(a, b, best_t);
     if (update_invalidation) invalidate_length_change(a, b);
   }
-  return best_ll;
+  return ll;
 }
 
 void LikelihoodEngine::collect_edges_tree_walk(

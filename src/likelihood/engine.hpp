@@ -12,6 +12,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "likelihood/kernels.hpp"
@@ -95,12 +96,18 @@ class LikelihoodEngine {
 
   /// Likelihood and branch-length derivatives across (a, b) at length t.
   /// Requires both endpoint vectors valid (call after plan/execute or use
-  /// optimize_branch / log_likelihood first).
+  /// optimize_branch / log_likelihood first). With derivatives the value
+  /// comes from the branch's sum table (the one derivative path, shared with
+  /// optimize_branch); without, from the direct evaluation log_likelihood
+  /// uses.
   BranchValue branch_value(NodeId a, NodeId b, double t, bool with_derivatives);
 
   /// Newton-Raphson optimisation of one branch length (Sec. 4.2: iterates
-  /// access only the two vectors at the branch ends). Returns the log
-  /// likelihood at the optimised length. With `update_invalidation` false the
+  /// access only the two vectors at the branch ends). The two vectors are
+  /// acquired once to build the branch's sum table (kernels.hpp), every
+  /// iteration runs on the table alone, and they are acquired once more for
+  /// the returned log likelihood at the optimised length — bit-identical to
+  /// a following log_likelihood(a, b). With `update_invalidation` false the
   /// engine does NOT mark vectors containing the branch stale — callers that
   /// immediately roll the change back (lazy SPR trials) handle staleness
   /// themselves via the recompute journal.
@@ -163,8 +170,25 @@ class LikelihoodEngine {
     return scale_counts_.data() +
            static_cast<std::size_t>(tree_.inner_index(inner)) * dims_.patterns;
   }
-  /// Evaluate across (a, b), assuming valid endpoint vectors.
-  BranchValue evaluate_at(NodeId a, NodeId b, double t, bool with_derivatives);
+  /// Near/far roles across (a, b): the near side contributes raw
+  /// conditionals, the far side is propagated across the branch. A tip can
+  /// serve either role; when exactly one side is a tip it goes near (cheap
+  /// indicator gather). The far side is never a tip (n >= 3 has no tip-tip
+  /// edges).
+  std::pair<NodeId, NodeId> near_far(NodeId a, NodeId b) const;
+  /// Point the two sides at their data, acquiring the inner vectors (near
+  /// first) into the leases.
+  void bind_sides(NodeId near, NodeId far, EvalSide& near_side,
+                  EvalSide& far_side, VectorLease& near_lease,
+                  VectorLease& far_lease);
+  /// Log likelihood across (a, b) at length t, assuming valid endpoint
+  /// vectors.
+  double evaluate_at(NodeId a, NodeId b, double t);
+  /// Acquire both endpoint vectors once, fill sumtable_ (sized on first
+  /// use, so runs that never optimise a branch never allocate it), release.
+  void build_branch_sumtable(NodeId near, NodeId far);
+  /// L, dL/dt and d²L/dt² at length t from sumtable_ alone.
+  BranchValue sumtable_value(NodeId near, NodeId far, double t);
   /// execute()'s loop body; bumps `completed` after each finished step so
   /// the catch block knows which planned parents never materialised.
   void execute_steps(std::span<const TraversalStep> steps,
@@ -191,12 +215,11 @@ class LikelihoodEngine {
   // Scratch buffers reused across operations (sized on first use).
   std::vector<double> pmat_left_;
   std::vector<double> pmat_right_;
-  std::vector<double> dmat_;
-  std::vector<double> d2mat_;
   std::vector<double> lookup_left_;
   std::vector<double> lookup_right_;
-  std::vector<double> lookup_d1_;
-  std::vector<double> lookup_d2_;
+  /// One branch's sum table: RAM scratch the width of one vector, outside
+  /// the store's slot budget.
+  std::vector<double> sumtable_;
 };
 
 }  // namespace plfoc

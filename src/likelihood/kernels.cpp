@@ -26,6 +26,32 @@ inline void propagate_inner(const double* pmat_c, const double* child_block,
   }
 }
 
+inline std::int32_t site_scale(const std::int32_t* near_scale,
+                               const std::int32_t* far_scale, std::size_t p) {
+  return (near_scale != nullptr ? near_scale[p] : 0) +
+         (far_scale != nullptr ? far_scale[p] : 0);
+}
+
+/// Add one pattern's weighted log likelihood (and derivative terms) to
+/// `result`. `site_l` is clamped to DBL_MIN, the scaling counter applied.
+inline void accumulate_site(BranchValue& result, double w, std::int32_t scale,
+                            double site_l, double site_d1, double site_d2,
+                            bool with_derivatives) {
+  const double guarded = std::max(site_l, std::numeric_limits<double>::min());
+  result.log_likelihood += w * (std::log(guarded) + scale * kLogScaleUnit);
+  if (!with_derivatives) return;
+  const double d1_term = site_d1 / guarded;
+  const double d2_term = site_d2 / guarded - d1_term * d1_term;
+  // When site_l clamps to numeric_limits::min() (underflowed site) the
+  // ratios can overflow to Inf and poison d2 with NaN, derailing the Newton
+  // step in optimize_branch. An underflowed site carries no usable
+  // curvature signal, so drop its derivative contribution.
+  if (std::isfinite(d1_term) && std::isfinite(d2_term)) {
+    result.d1 += w * d1_term;
+    result.d2 += w * d2_term;
+  }
+}
+
 template <unsigned S>
 std::size_t newview_impl(const KernelDims& dims, const NewviewChild& left,
                          const NewviewChild& right, double* parent,
@@ -178,23 +204,92 @@ BranchValue evaluate_impl(const KernelDims& dims, const double* freqs,
     site_d2 *= cat_weight;
 
     const std::int32_t scale =
-        (near_side.scale_counts != nullptr ? near_side.scale_counts[p] : 0) +
-        (far_side.scale_counts != nullptr ? far_side.scale_counts[p] : 0);
-    const double w = weights != nullptr ? weights[p] : 1.0;
-    const double guarded = std::max(site_l, std::numeric_limits<double>::min());
-    result.log_likelihood += w * (std::log(guarded) + scale * kLogScaleUnit);
-    if (with_derivatives) {
-      const double d1_term = site_d1 / guarded;
-      const double d2_term = site_d2 / guarded - d1_term * d1_term;
-      // When site_l clamps to numeric_limits::min() (underflowed site) the
-      // ratios can overflow to Inf and poison d2 with NaN, derailing the
-      // Newton step in optimize_branch. An underflowed site carries no
-      // usable curvature signal, so drop its derivative contribution.
-      if (std::isfinite(d1_term) && std::isfinite(d2_term)) {
-        result.d1 += w * d1_term;
-        result.d2 += w * d2_term;
+        site_scale(near_side.scale_counts, far_side.scale_counts, p);
+    accumulate_site(result, weights != nullptr ? weights[p] : 1.0, scale,
+                    site_l, site_d1, site_d2, with_derivatives);
+  }
+  return result;
+}
+
+/// table[p, c, k] for patterns [p_begin, p_end); `projected_near` is
+/// (π ∘ V)ᵀ, row k holding π_x V[x][k], and `tip_rows` (tip near side only)
+/// holds its product with each code's indicator row.
+template <unsigned S>
+void build_sumtable_impl(const KernelDims& dims, const double* projected_near,
+                         const double* inverse, const EvalSide& near_side,
+                         const double* tip_rows, const EvalSide& far_side,
+                         double* table, std::size_t p_begin,
+                         std::size_t p_end) {
+  const unsigned states = S != 0 ? S : dims.states;
+  const unsigned cats = dims.categories;
+  const std::size_t block = static_cast<std::size_t>(cats) * states;
+  double nb[32];
+  double fb[32];
+  PLFOC_CHECK(states <= 32);
+  for (std::size_t p = p_begin; p < p_end; ++p) {
+    for (unsigned c = 0; c < cats; ++c) {
+      const std::size_t at = p * block + static_cast<std::size_t>(c) * states;
+      const double* near;
+      if (near_side.is_tip()) {
+        near = tip_rows + static_cast<std::size_t>(near_side.codes[p]) * states;
+      } else {
+        propagate_inner<S>(projected_near, near_side.vector + at, states, nb);
+        near = nb;
+      }
+      propagate_inner<S>(inverse, far_side.vector + at, states, fb);
+      for (unsigned k = 0; k < states; ++k) table[at + k] = near[k] * fb[k];
+    }
+  }
+}
+
+/// `exps` holds three C×S arrays: e^{λ_k r_c t} and its first and second
+/// t-derivatives. Per-state lanes accumulate over the categories, then fold
+/// in state order.
+template <unsigned S>
+BranchValue sumtable_value_impl(const KernelDims& dims, const double* weights,
+                                const double* table,
+                                const std::int32_t* near_scale,
+                                const std::int32_t* far_scale,
+                                const double* exps, std::size_t p_begin,
+                                std::size_t p_end) {
+  const unsigned states = S != 0 ? S : dims.states;
+  const unsigned cats = dims.categories;
+  const std::size_t block = static_cast<std::size_t>(cats) * states;
+  const double* e0 = exps;
+  const double* e1 = exps + block;
+  const double* e2 = exps + 2 * block;
+  const double cat_weight = 1.0 / cats;
+  double l[32];
+  double d1[32];
+  double d2[32];
+  PLFOC_CHECK(states <= 32);
+
+  BranchValue result;
+  for (std::size_t p = p_begin; p < p_end; ++p) {
+    const double* row = table + p * block;
+    for (unsigned k = 0; k < states; ++k) {
+      l[k] = row[k] * e0[k];
+      d1[k] = row[k] * e1[k];
+      d2[k] = row[k] * e2[k];
+    }
+    for (std::size_t i = states; i < block; i += states) {
+      for (unsigned k = 0; k < states; ++k) {
+        l[k] += row[i + k] * e0[i + k];
+        d1[k] += row[i + k] * e1[i + k];
+        d2[k] += row[i + k] * e2[i + k];
       }
     }
+    double site_l = 0.0;
+    double site_d1 = 0.0;
+    double site_d2 = 0.0;
+    for (unsigned k = 0; k < states; ++k) {
+      site_l += l[k];
+      site_d1 += d1[k];
+      site_d2 += d2[k];
+    }
+    accumulate_site(result, weights != nullptr ? weights[p] : 1.0,
+                    site_scale(near_scale, far_scale, p), site_l * cat_weight,
+                    site_d1 * cat_weight, site_d2 * cat_weight, true);
   }
   return result;
 }
@@ -236,11 +331,10 @@ void per_pattern_impl(const KernelDims& dims, const double* freqs,
       site_l += lc;
     }
     site_l *= cat_weight;
-    const std::int32_t scale =
-        (near_side.scale_counts != nullptr ? near_side.scale_counts[p] : 0) +
-        (far_side.scale_counts != nullptr ? far_side.scale_counts[p] : 0);
     const double guarded = std::max(site_l, std::numeric_limits<double>::min());
-    out[p] = std::log(guarded) + scale * kLogScaleUnit;
+    out[p] = std::log(guarded) +
+             site_scale(near_side.scale_counts, far_side.scale_counts, p) *
+                 kLogScaleUnit;
   }
 }
 
@@ -281,6 +375,46 @@ BranchValue evaluate_range(const KernelDims& dims, const double* freqs,
   }
 }
 
+void build_sumtable_range(const KernelDims& dims, const double* projected_near,
+                          const double* inverse, const EvalSide& near_side,
+                          const double* tip_rows, const EvalSide& far_side,
+                          double* table, std::size_t p_begin,
+                          std::size_t p_end) {
+  switch (dims.states) {
+    case 4:
+      build_sumtable_impl<4>(dims, projected_near, inverse, near_side,
+                             tip_rows, far_side, table, p_begin, p_end);
+      break;
+    case 20:
+      build_sumtable_impl<20>(dims, projected_near, inverse, near_side,
+                              tip_rows, far_side, table, p_begin, p_end);
+      break;
+    default:
+      build_sumtable_impl<0>(dims, projected_near, inverse, near_side,
+                             tip_rows, far_side, table, p_begin, p_end);
+      break;
+  }
+}
+
+BranchValue sumtable_value_range(const KernelDims& dims, const double* weights,
+                                 const double* table,
+                                 const std::int32_t* near_scale,
+                                 const std::int32_t* far_scale,
+                                 const double* exps, std::size_t p_begin,
+                                 std::size_t p_end) {
+  switch (dims.states) {
+    case 4:
+      return sumtable_value_impl<4>(dims, weights, table, near_scale,
+                                    far_scale, exps, p_begin, p_end);
+    case 20:
+      return sumtable_value_impl<20>(dims, weights, table, near_scale,
+                                     far_scale, exps, p_begin, p_end);
+    default:
+      return sumtable_value_impl<0>(dims, weights, table, near_scale,
+                                    far_scale, exps, p_begin, p_end);
+  }
+}
+
 void per_pattern_range(const KernelDims& dims, const double* freqs,
                        const EvalSide& near_side, const EvalSide& far_side,
                        const double* pmats, double* out, std::size_t p_begin,
@@ -309,6 +443,33 @@ inline std::size_t block_end(std::size_t b, std::size_t patterns) {
 
 bool pool_active(const KernelPool* pool, std::size_t blocks) {
   return pool != nullptr && pool->threads() > 1 && blocks > 1;
+}
+
+/// Run `range(p_begin, p_end)` per pattern block and sum the BranchValue
+/// partials serially in block order — also on the single-threaded path — so
+/// the floating-point association depends only on the pattern count, never
+/// the thread count.
+template <typename Range>
+BranchValue reduce_blocks(std::size_t patterns, KernelPool* pool,
+                          const Range& range) {
+  const std::size_t blocks = pattern_block_count(patterns);
+  if (blocks <= 1) return range(0, patterns);
+  std::vector<BranchValue> partials(blocks);
+  const auto body = [&](std::size_t b) {
+    partials[b] = range(block_begin(b), block_end(b, patterns));
+  };
+  if (pool_active(pool, blocks)) {
+    pool->run_blocks(blocks, body);
+  } else {
+    for (std::size_t b = 0; b < blocks; ++b) body(b);
+  }
+  BranchValue result = partials[0];
+  for (std::size_t b = 1; b < blocks; ++b) {
+    result.log_likelihood += partials[b].log_likelihood;
+    result.d1 += partials[b].d1;
+    result.d2 += partials[b].d2;
+  }
+  return result;
 }
 
 }  // namespace
@@ -369,32 +530,68 @@ BranchValue evaluate_branch(const KernelDims& dims, const double* freqs,
                             bool with_derivatives, KernelPool* pool) {
   if (with_derivatives)
     PLFOC_CHECK((dmats != nullptr && d2mats != nullptr) || far_side.is_tip());
-  const std::size_t blocks = pattern_block_count(dims.patterns);
-  if (blocks <= 1)
-    return evaluate_range(dims, freqs, weights, near_side, far_side, pmats,
-                          dmats, d2mats, with_derivatives, 0, dims.patterns);
-  // Per-block partials are ALWAYS computed and combined serially in block
-  // order — also on the single-threaded path — so the floating-point
-  // association depends only on the pattern count, never the thread count.
-  std::vector<BranchValue> partials(blocks);
-  const auto body = [&](std::size_t b) {
-    partials[b] =
-        evaluate_range(dims, freqs, weights, near_side, far_side, pmats, dmats,
-                       d2mats, with_derivatives, block_begin(b),
-                       block_end(b, dims.patterns));
+  return reduce_blocks(
+      dims.patterns, pool, [&](std::size_t p_begin, std::size_t p_end) {
+        return evaluate_range(dims, freqs, weights, near_side, far_side, pmats,
+                              dmats, d2mats, with_derivatives, p_begin, p_end);
+      });
+}
+
+void build_sumtable(const KernelDims& dims, const double* freqs,
+                    const double* eigenvectors, const double* inverse,
+                    const EvalSide& near_side, const EvalSide& far_side,
+                    double* table, KernelPool* pool) {
+  PLFOC_CHECK(!far_side.is_tip());
+  const unsigned s = dims.states;
+  std::vector<double> projected_near(static_cast<std::size_t>(s) * s);
+  for (unsigned k = 0; k < s; ++k)
+    for (unsigned x = 0; x < s; ++x)
+      projected_near[k * s + x] = freqs[x] * eigenvectors[x * s + k];
+  std::vector<double> tip_rows;
+  if (near_side.is_tip()) {
+    const std::uint8_t max_code =
+        *std::max_element(near_side.codes, near_side.codes + dims.patterns);
+    tip_rows.resize((static_cast<std::size_t>(max_code) + 1) * s);
+    for (std::size_t code = 0; code <= max_code; ++code)
+      propagate_inner<0>(projected_near.data(), near_side.indicator + code * s,
+                         s, tip_rows.data() + code * s);
+  }
+  const auto range = [&](std::size_t p_begin, std::size_t p_end) {
+    build_sumtable_range(dims, projected_near.data(), inverse, near_side,
+                         tip_rows.data(), far_side, table, p_begin, p_end);
   };
-  if (pool_active(pool, blocks)) {
-    pool->run_blocks(blocks, body);
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) body(b);
+  const std::size_t blocks = pattern_block_count(dims.patterns);
+  if (!pool_active(pool, blocks)) return range(0, dims.patterns);
+  pool->run_blocks(blocks, [&](std::size_t b) {
+    range(block_begin(b), block_end(b, dims.patterns));
+  });
+}
+
+BranchValue sumtable_branch_value(const KernelDims& dims, const double* weights,
+                                  const double* table,
+                                  const std::int32_t* near_scale,
+                                  const std::int32_t* far_scale,
+                                  const double* eigenvalues,
+                                  const double* rates, double t,
+                                  KernelPool* pool) {
+  const unsigned s = dims.states;
+  const std::size_t block = static_cast<std::size_t>(dims.categories) * s;
+  // d/dt e^{λ r t} = λ r e^{λ r t}: the chain rule over the category rate.
+  std::vector<double> exps(3 * block);
+  for (unsigned c = 0; c < dims.categories; ++c) {
+    for (unsigned k = 0; k < s; ++k) {
+      const std::size_t i = static_cast<std::size_t>(c) * s + k;
+      const double lambda = eigenvalues[k] * rates[c];
+      exps[i] = std::exp(lambda * t);
+      exps[block + i] = lambda * exps[i];
+      exps[2 * block + i] = lambda * lambda * exps[i];
+    }
   }
-  BranchValue result = partials[0];
-  for (std::size_t b = 1; b < blocks; ++b) {
-    result.log_likelihood += partials[b].log_likelihood;
-    result.d1 += partials[b].d1;
-    result.d2 += partials[b].d2;
-  }
-  return result;
+  return reduce_blocks(
+      dims.patterns, pool, [&](std::size_t p_begin, std::size_t p_end) {
+        return sumtable_value_range(dims, weights, table, near_scale,
+                                    far_scale, exps.data(), p_begin, p_end);
+      });
 }
 
 }  // namespace plfoc

@@ -112,6 +112,38 @@ void per_pattern_log_likelihoods(const KernelDims& dims, const double* freqs,
                                  const EvalSide& far_side, const double* pmats,
                                  double* out, KernelPool* pool = nullptr);
 
+/// RAxML's sum table of one branch (its makenewz "sumtable"). With
+/// P(t) = V e^{Λt} V⁻¹, category c's likelihood at branch length t is
+///   L_c(t) = Σ_k e^{λ_k r_c t} · table[p, c, k],
+///   table[p,c,k] = (Σ_x π_x near[p,c,x] V[x][k]) · (Σ_y V⁻¹[k][y] far[p,c,y]),
+/// so once the table is built, L and its t-derivatives at any length cost
+/// C×S exponentials plus three C·S dot products per pattern: no transition
+/// matrices and no further reads of the two vectors. `table` has the layout
+/// of an ancestral vector (P×C×S doubles). `near_side` may be a tip (codes +
+/// indicator; the V-projected row of each code is built once per call);
+/// `far_side` must be inner. `eigenvectors` is V and `inverse` V⁻¹, both
+/// row-major S×S. Blocks write disjoint slices of `table`, so it is
+/// identical with or without `pool`.
+void build_sumtable(const KernelDims& dims, const double* freqs,
+                    const double* eigenvectors, const double* inverse,
+                    const EvalSide& near_side, const EvalSide& far_side,
+                    double* table, KernelPool* pool = nullptr);
+
+/// Log likelihood and its first two branch-length derivatives at length t
+/// from a build_sumtable table; `eigenvalues` are the λ_k, `rates` the C
+/// category rates, `near_scale`/`far_scale` the two sides' scaling counters
+/// (nullptr for a tip). Weights, the DBL_MIN guard, the non-finite-derivative
+/// guard and the serial block-order reduction are evaluate_branch's, so the
+/// value is bit-identical for any thread count and agrees with
+/// evaluate_branch(..., with_derivatives = true) up to rounding.
+BranchValue sumtable_branch_value(const KernelDims& dims, const double* weights,
+                                  const double* table,
+                                  const std::int32_t* near_scale,
+                                  const std::int32_t* far_scale,
+                                  const double* eigenvalues,
+                                  const double* rates, double t,
+                                  KernelPool* pool = nullptr);
+
 /// Log likelihood (and optionally its first two branch-length derivatives)
 /// across a branch with per-category transition matrices pmats (C×S×S) and,
 /// when `with_derivatives`, dmats/d2mats. `near_side` is conditioned on data

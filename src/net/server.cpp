@@ -303,9 +303,11 @@ void Server::event_loop() {
         const int fd = ::accept(listener_.fd(), nullptr, nullptr);
         if (fd < 0) break;
         if (connections_.size() >= options_.max_connections) {
+          {
+            MutexLock lock(mutex_);
+            ++stats_.over_limit;
+          }
           ::close(fd);
-          MutexLock lock(mutex_);
-          ++stats_.over_limit;
           continue;
         }
         set_nonblocking(fd);
@@ -358,11 +360,8 @@ void Server::event_loop() {
         if (clock_ - conn.last_activity > options_.idle_timeout_seconds)
           doomed.push_back(id);
       }
-      for (const std::uint64_t conn_id : doomed) {
-        drop_connection(conn_id);
-        MutexLock lock(mutex_);
-        ++stats_.idle_closed;
-      }
+      for (const std::uint64_t conn_id : doomed)
+        drop_connection(conn_id, &ServerStats::idle_closed);
     }
   }
 }
@@ -529,10 +528,14 @@ bool Server::flush_outbox(Connection& conn) {
   return true;
 }
 
-void Server::drop_connection(std::uint64_t conn_id) {
+void Server::drop_connection(std::uint64_t conn_id,
+                             std::uint64_t ServerStats::*reason) {
+  {
+    MutexLock lock(mutex_);
+    ++stats_.closed;
+    if (reason != nullptr) ++(stats_.*reason);
+  }
   connections_.erase(conn_id);
-  MutexLock lock(mutex_);
-  ++stats_.closed;
 }
 
 ResultResponse Server::make_result_response(std::uint64_t request_id,

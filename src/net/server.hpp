@@ -117,7 +117,10 @@ class Server {
   void route_pending_results();
   /// True when the socket went dry but the outbox still holds bytes.
   bool flush_outbox(Connection& conn);
-  void drop_connection(std::uint64_t conn_id);
+  /// Count the drop (in `closed`, and in `*reason` when given), then close
+  /// the socket: a client that has seen EOF must find the drop counted.
+  void drop_connection(std::uint64_t conn_id,
+                       std::uint64_t ServerStats::*reason = nullptr);
   static ResultResponse make_result_response(std::uint64_t request_id,
                                              const JobResult& result);
 

@@ -4,6 +4,8 @@
 
 #include "likelihood/engine.hpp"
 #include "ooc/inram_store.hpp"
+#include "session.hpp"
+#include "sim/dataset_planner.hpp"
 #include "sim/simulate.hpp"
 #include "tree/random_tree.hpp"
 #include "util/rng.hpp"
@@ -154,6 +156,86 @@ TEST(BranchOpt, TipBranchOptimizable) {
   const double before = fx.engine.log_likelihood(tip, inner);
   const double after = fx.engine.optimize_branch(tip, inner);
   EXPECT_GE(after, before - 1e-9);
+}
+
+TEST(BranchOpt, ReturnsTheFollowingLogLikelihoodBitExactly) {
+  // Newton runs on the sum table, but the returned value is the direct
+  // evaluation at the chosen length, so it equals log_likelihood(a, b).
+  Fixture fx(31);
+  for (const auto& [a, b] : fx.engine.tree().edges()) {
+    const double returned = fx.engine.optimize_branch(a, b);
+    EXPECT_EQ(returned, fx.engine.log_likelihood(a, b))
+        << "branch " << a << "-" << b;
+  }
+}
+
+/// A GTR+Γ4 DNA dataset of 2 pattern blocks and more (so kernel threads
+/// split the work) on a backend picked by name.
+Session smoothing_session(const std::string& backend, unsigned threads) {
+  DatasetPlan plan;
+  plan.num_taxa = 16;
+  plan.num_sites = 800;
+  plan.mean_branch_length = 0.4;
+  plan.seed = 4321;
+  PlannedDataset data = make_dna_dataset(plan);
+  SessionOptions options;
+  options.alpha = 0.7;
+  options.threads = threads;
+  if (backend == "ooc") {
+    options.backend = Backend::kOutOfCore;
+    options.policy = ReplacementPolicy::kLru;
+    options.ram_fraction = 0.3;
+  } else if (backend == "paged") {
+    options.backend = Backend::kPaged;
+    options.ram_budget_bytes = 1 << 19;
+  } else if (backend == "tiered") {
+    options.backend = Backend::kTiered;
+    options.tiered_fast_slots = 3;
+    options.tiered_ram_slots = 4;
+  }
+  return Session(std::move(data.alignment), std::move(data.tree),
+                 benchmark_gtr(), std::move(options));
+}
+
+TEST(BranchOpt, SmoothingIsBitIdenticalAcrossThreadsAndStores) {
+  struct Outcome {
+    double ll;
+    std::vector<double> lengths;
+  };
+  const auto smooth = [](const std::string& backend, unsigned threads) {
+    Session session = smoothing_session(backend, threads);
+    EXPECT_GT(session.patterns(), 2 * kPatternBlock);
+    Outcome outcome{session.engine().optimize_all_branches(2), {}};
+    for (const auto& [a, b] : session.tree().edges())
+      outcome.lengths.push_back(session.tree().branch_length(a, b));
+    return outcome;
+  };
+  const Outcome reference = smooth("inram", 1);
+  for (const std::string backend : {"inram", "ooc", "paged", "tiered"}) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(backend + " threads=" + std::to_string(threads));
+      const Outcome outcome = smooth(backend, threads);
+      EXPECT_EQ(outcome.ll, reference.ll);
+      EXPECT_EQ(outcome.lengths, reference.lengths);
+    }
+  }
+}
+
+TEST(BranchOpt, NewtonIterationsMakeNoStoreAcquires) {
+  // Out of core, the endpoint vectors are acquired to build the sum table
+  // and once more for the returned value, however many iterations run.
+  const auto acquires = [](int max_iterations) {
+    Session session = smoothing_session("ooc", 1);
+    LikelihoodEngine& engine = session.engine();
+    const auto [a, b] = engine.tree().default_root_branch();
+    engine.log_likelihood(a, b);  // validate the endpoint vectors
+    session.reset_stats();
+    engine.optimize_branch(a, b, max_iterations);
+    return session.stats().accesses;
+  };
+  const std::uint64_t one = acquires(1);
+  EXPECT_LE(one, 4u);
+  EXPECT_EQ(acquires(32), one);
 }
 
 }  // namespace

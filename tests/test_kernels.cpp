@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "likelihood/engine.hpp"
 #include "likelihood/kernel_pool.hpp"
 #include "model/eigen.hpp"
 #include "model/gamma.hpp"
@@ -431,6 +432,178 @@ TEST(Kernels, EvaluateTipFarSideWithDerivatives) {
   EXPECT_NEAR(via_lookup.log_likelihood, via_dense.log_likelihood, 1e-12);
   EXPECT_NEAR(via_lookup.d1, via_dense.d1, 1e-10);
   EXPECT_NEAR(via_lookup.d2, via_dense.d2, 1e-10);
+}
+
+/// Random sum-table inputs over a ragged second pattern block: both sides'
+/// vectors, scale counts, weights, and tip codes over an indicator table of
+/// one unit row per state plus an all-ones (gap) row.
+struct SumtableInputs {
+  EigenSystem eigen;
+  std::vector<double> freqs;
+  KernelDims dims;
+  std::vector<double> rates;
+  std::vector<double> near;
+  std::vector<double> far;
+  std::vector<std::int32_t> near_scale;
+  std::vector<std::int32_t> far_scale;
+  std::vector<double> weights;
+  std::vector<std::uint8_t> codes;
+  std::vector<double> indicator;
+  EvalSide near_side{};
+  EvalSide far_side{};
+
+  SumtableInputs(const SubstitutionModel& model, unsigned categories,
+                 bool tip_near, std::uint64_t seed)
+      : eigen(decompose(model)),
+        freqs(model.frequencies),
+        dims{kPatternBlock + 19, categories, model.states()},
+        rates(discrete_gamma_rates(0.6, categories)) {
+    Rng rng(seed);
+    const unsigned s = dims.states;
+    const std::size_t width = dims.patterns * categories * s;
+    near.resize(width);
+    far.resize(width);
+    for (std::size_t i = 0; i < width; ++i) {
+      near[i] = rng.uniform(0.01, 1.0);
+      far[i] = rng.uniform(0.01, 1.0);
+    }
+    for (std::size_t p = 0; p < dims.patterns; ++p) {
+      near_scale.push_back(static_cast<std::int32_t>(rng.below(3)));
+      far_scale.push_back(static_cast<std::int32_t>(rng.below(3)));
+      weights.push_back(1.0 + static_cast<double>(rng.below(4)));
+      codes.push_back(static_cast<std::uint8_t>(rng.below(s + 1)));
+    }
+    indicator.assign(static_cast<std::size_t>(s + 1) * s, 0.0);
+    for (unsigned code = 0; code < s; ++code) indicator[code * s + code] = 1.0;
+    std::fill(indicator.begin() + static_cast<std::ptrdiff_t>(s) * s,
+              indicator.end(), 1.0);
+    if (tip_near) {
+      near_side.codes = codes.data();
+      near_side.indicator = indicator.data();
+    } else {
+      near_side.vector = near.data();
+      near_side.scale_counts = near_scale.data();
+    }
+    far_side.vector = far.data();
+    far_side.scale_counts = far_scale.data();
+  }
+
+  std::vector<double> table(KernelPool* pool = nullptr) const {
+    std::vector<double> out(near.size(), -1.0);
+    build_sumtable(dims, freqs.data(), eigen.right.data(),
+                   eigen.inverse.data(), near_side, far_side, out.data(),
+                   pool);
+    return out;
+  }
+
+  BranchValue value(const std::vector<double>& table, double t,
+                    KernelPool* pool = nullptr) const {
+    return sumtable_branch_value(dims, weights.data(), table.data(),
+                                 near_side.scale_counts, far_side.scale_counts,
+                                 eigen.eigenvalues.data(), rates.data(), t,
+                                 pool);
+  }
+
+  /// evaluate_branch's derivative mode, with per-category P, r·P' and r²·P''.
+  BranchValue oracle(double t) const {
+    const unsigned s = dims.states;
+    const std::size_t square = static_cast<std::size_t>(s) * s;
+    std::vector<double> p(dims.categories * square);
+    std::vector<double> dp(p.size());
+    std::vector<double> d2p(p.size());
+    for (unsigned c = 0; c < dims.categories; ++c) {
+      transition_derivatives(eigen, t * rates[c], p.data() + c * square,
+                             dp.data() + c * square, d2p.data() + c * square);
+      for (std::size_t i = c * square; i < (c + 1) * square; ++i) {
+        dp[i] *= rates[c];
+        d2p[i] *= rates[c] * rates[c];
+      }
+    }
+    return evaluate_branch(dims, freqs.data(), weights.data(), near_side,
+                           far_side, p.data(), dp.data(), d2p.data(), true);
+  }
+};
+
+SubstitutionModel random_protein_gtr(std::uint64_t seed) {
+  Rng rng(seed);
+  SubstitutionModel model;
+  model.name = "random-protein-GTR";
+  model.type = DataType::kProtein;
+  double total = 0.0;
+  for (unsigned x = 0; x < 20; ++x) {
+    model.frequencies.push_back(rng.uniform(0.5, 2.0));
+    total += model.frequencies.back();
+  }
+  for (double& f : model.frequencies) f /= total;
+  for (unsigned i = 0; i < 190; ++i)
+    model.exchangeabilities.push_back(rng.uniform(0.2, 5.0));
+  model.validate();
+  return model;
+}
+
+void expect_sumtable_matches_oracle(const SubstitutionModel& model,
+                                    std::uint64_t seed) {
+  for (const unsigned categories : {1u, 4u}) {
+    for (const bool tip_near : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "C=" << categories
+                                        << " tip_near=" << tip_near);
+      const SumtableInputs in(model, categories, tip_near, seed);
+      const std::vector<double> table = in.table();
+      for (const double t : {kMinBranchLength, 0.05, 1.0, kMaxBranchLength}) {
+        SCOPED_TRACE(::testing::Message() << "t=" << t);
+        const BranchValue oracle = in.oracle(t);
+        const BranchValue value = in.value(table, t);
+        EXPECT_NEAR(value.log_likelihood, oracle.log_likelihood,
+                    1e-9 * std::abs(oracle.log_likelihood));
+        EXPECT_NEAR(value.d1, oracle.d1, 1e-9 * std::abs(oracle.d1));
+        EXPECT_NEAR(value.d2, oracle.d2, 1e-9 * std::abs(oracle.d2));
+      }
+    }
+  }
+}
+
+TEST(Kernels, SumtableMatchesDerivativeOracleDna) {
+  expect_sumtable_matches_oracle(
+      gtr({1.2, 4.5, 0.8, 1.1, 5.2, 1.0}, {0.3, 0.22, 0.24, 0.24}), 211);
+}
+
+TEST(Kernels, SumtableMatchesDerivativeOracleProtein) {
+  expect_sumtable_matches_oracle(random_protein_gtr(5), 223);
+}
+
+TEST(Kernels, SumtableBlockParallelBitIdenticalToSerial) {
+  const SumtableInputs in(
+      gtr({1.2, 4.5, 0.8, 1.1, 5.2, 1.0}, {0.3, 0.22, 0.24, 0.24}), 4, false,
+      227);
+  const std::vector<double> serial_table = in.table();
+  const BranchValue serial = in.value(serial_table, 0.21);
+  for (const unsigned threads : {2u, 4u}) {
+    KernelPool pool(threads);
+    const std::vector<double> pool_table = in.table(&pool);
+    for (std::size_t i = 0; i < serial_table.size(); ++i)
+      ASSERT_EQ(pool_table[i], serial_table[i]) << "element " << i;
+    const BranchValue parallel = in.value(pool_table, 0.21, &pool);
+    EXPECT_EQ(parallel.log_likelihood, serial.log_likelihood);
+    EXPECT_EQ(parallel.d1, serial.d1);
+    EXPECT_EQ(parallel.d2, serial.d2);
+  }
+}
+
+TEST(Kernels, SumtableUnderflowedSiteDoesNotPoisonDerivatives) {
+  // The sum-table twin of UnderflowedSiteDoesNotPoisonDerivatives: with
+  // λ = {0, -1, -1, -1} at t = 1 the row {e^-1, -1, 0, 0} cancels to a site
+  // likelihood of exactly 0 while dL = e^-1, so d1/DBL_MIN overflows. The
+  // site must clamp to DBL_MIN and drop its derivative contribution.
+  const KernelDims dims{1, 1, 4};
+  const double eigenvalues[4] = {0.0, -1.0, -1.0, -1.0};
+  const double rates[1] = {1.0};
+  const std::vector<double> table = {std::exp(-1.0), -1.0, 0.0, 0.0};
+  const BranchValue value = sumtable_branch_value(
+      dims, nullptr, table.data(), nullptr, nullptr, eigenvalues, rates, 1.0);
+  EXPECT_NEAR(value.log_likelihood,
+              std::log(std::numeric_limits<double>::min()), 1e-12);
+  EXPECT_EQ(value.d1, 0.0);
+  EXPECT_EQ(value.d2, 0.0);
 }
 
 TEST(Kernels, GenericStateFallbackMatchesSpecialized) {
